@@ -25,6 +25,7 @@ from repro.core import validate
 from repro.experiments import simulation_workload
 from repro.model.stream import Priorities, TctRequirement
 from repro.model.units import milliseconds
+from repro.obs.histogram import nearest_rank
 from repro.service import (
     AdmissionService,
     AdmitTct,
@@ -46,9 +47,7 @@ def _tct(name, src, dst, period_ms=10, length=800, share=False):
 
 
 def _percentile(values, q):
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, round(q / 100 * (len(ordered) - 1))))
-    return ordered[rank]
+    return nearest_rank(sorted(values), q / 100)
 
 
 def _request_mix(devices):

@@ -86,14 +86,11 @@ FIGURES = {
 
 
 def _add_fastpath_flags(parser) -> None:
-    """Fast-path/portfolio/warm-start toggles shared by the serving
-    commands (see :mod:`repro.service.fastpath`)."""
+    """Fast-path/warm-start toggles shared by the serving commands
+    (see :mod:`repro.service.fastpath`)."""
     parser.add_argument("--no-fastpath", action="store_true",
                         help="disable the analytic fast-path rung; every "
                              "request climbs the solver ladder")
-    parser.add_argument("--portfolio", action="store_true",
-                        help="race the ladder rungs concurrently instead "
-                             "of climbing in series")
     parser.add_argument("--no-warm-start", action="store_true",
                         help="disable SMT solver warm-starting across "
                              "consecutive solves on one snapshot")
@@ -480,7 +477,6 @@ def _fastpath_config(args) -> dict:
     """
     return {
         "fastpath": not getattr(args, "no_fastpath", False),
-        "portfolio": getattr(args, "portfolio", False),
         "warm_start": not getattr(args, "no_warm_start", False),
     }
 

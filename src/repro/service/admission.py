@@ -6,10 +6,11 @@
 * requests (admit TCT / admit ECT / remove) are **batched** when their
   stream sets are disjoint, so one validation pass amortizes over the
   whole batch;
-* every solve climbs a **fallback ladder** — incremental earliest-fit
-  around the frozen schedule first, then a full :func:`schedule_etsn`
-  re-solve, then a restart-boosted :func:`schedule_heuristic` — each
-  rung with its own wall-clock timeout and bounded retry/backoff;
+* every solve climbs one serial **fallback ladder** — the analytic
+  fast path (or, with it off, incremental earliest-fit around the
+  frozen schedule), then a full :func:`schedule_etsn` re-solve, then a
+  restart-boosted :func:`schedule_heuristic` — each rung tried once
+  under its own wall-clock timeout;
 * an infeasible request is a **structured rejection**
   (:class:`~repro.service.requests.Decision`), never an exception
   escaping the service;
@@ -30,11 +31,10 @@
 
 from __future__ import annotations
 
-import queue as queue_module
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.proof import CertificateError
@@ -71,6 +71,7 @@ from repro.smt.warmstart import WarmStartCache
 RUNG_INCREMENTAL = "incremental"
 RUNG_FULL = "full"
 RUNG_HEURISTIC = "heuristic"
+LADDER_RUNGS = (RUNG_INCREMENTAL, RUNG_FULL, RUNG_HEURISTIC)
 
 #: How often a batch may rebase onto a fresh snapshot after losing the
 #: publish CAS race to another writer sharing the store, before it is
@@ -89,15 +90,13 @@ class RungTimeout(RuntimeError):
 class RungConfig:
     """Budget of one ladder rung.
 
-    ``retries`` re-runs apply to timeouts and unexpected solver errors;
-    a deterministic :class:`InfeasibleError` is final for the rung, so
-    it climbs immediately.
+    Each rung is tried exactly once: both solvers are deterministic, so
+    a repeat would redo identical work.  A timeout, a solver error or an
+    :class:`InfeasibleError` all climb to the next rung.
     """
 
     name: str
     timeout_s: Optional[float] = 30.0
-    retries: int = 0
-    backoff_s: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -130,17 +129,15 @@ class ServiceConfig:
     #: Forced off under ``certify`` — certified verdicts must come from
     #: the proof-logging solver.
     fastpath: bool = True
-    #: race the ladder rungs concurrently instead of climbing in series;
-    #: first conclusive result wins, losers are abandoned through the
-    #: orphaned-solver plumbing.  Per-rung ``retries`` are not honoured
-    #: while racing (a raced rung gets exactly one attempt).  Forced off
-    #: under ``certify``.
-    portfolio: bool = False
     #: reuse formula-independent DPLL(T) state (theory lemmas, branching
     #: heuristics, potentials) across consecutive full-rung SMT solves
     #: on one snapshot; invalidated on every publish.  No-op for the
     #: heuristic backend and under ``certify``.
     warm_start: bool = True
+    #: the ladder, in climb order.  With the fast path on, the
+    #: ``incremental`` rung is skipped: the fast path's constructive
+    #: attempt already ran that placement (and more — sharing TCT goes
+    #: through ``add_shared_tct_stream``).
     rungs: Tuple[RungConfig, ...] = (
         RungConfig(RUNG_INCREMENTAL),
         RungConfig(RUNG_FULL),
@@ -165,7 +162,6 @@ class AdmissionService:
         config: Optional[ServiceConfig] = None,
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.perf_counter,
-        sleep: Callable[[float], None] = time.sleep,
         on_deploy: Optional[Callable[[Deployment], None]] = None,
         tracer: Optional[Tracer] = None,
         events: Optional[EventLog] = None,
@@ -177,9 +173,16 @@ class AdmissionService:
                 "ServiceConfig.certify requires backend='smt' "
                 f"(got {self._config.backend!r})"
             )
+        unknown = [
+            r.name for r in self._config.rungs if r.name not in LADDER_RUNGS
+        ]
+        if unknown:
+            raise ValueError(
+                f"unknown ladder rung(s) {unknown}; expected names from "
+                f"{list(LADDER_RUNGS)}"
+            )
         self._metrics = metrics if metrics is not None else store.metrics
         self._clock = clock
-        self._sleep = sleep
         self._on_deploy = on_deploy
         # Disabled tracing is the no-op singleton, not None: the spans
         # below cost one call each either way, no branching on hot paths.
@@ -197,6 +200,10 @@ class AdmissionService:
         self._last_deployment: Optional[Deployment] = None
         self._fastpath_on = (
             self._config.fastpath and not self._config.certify
+        )
+        self._rungs = tuple(
+            rung for rung in self._config.rungs
+            if not (self._fastpath_on and rung.name == RUNG_INCREMENTAL)
         )
         self._warm_cache: Optional[WarmStartCache] = (
             WarmStartCache()
@@ -302,7 +309,10 @@ class AdmissionService:
         with self._queue_lock:
             pending = list(self._queue)
             self._queue.clear()
-        self._metrics.gauge("queue.depth").set(0)
+            # under the lock, as in enqueue: set after release, a
+            # concurrent enqueue's depth could be overwritten with 0
+            # while its request is still queued
+            self._metrics.gauge("queue.depth").set(0)
         return self.submit_many(pending) if pending else []
 
     # -- batching ------------------------------------------------------
@@ -500,7 +510,7 @@ class AdmissionService:
         self._metrics.histogram("latency.decision_ms").observe(latency_ms)
         if not accepted:
             # rejections get their own latency distribution: a reject
-            # that climbs (or races) the whole ladder is the worst case
+            # that climbs the whole ladder is the worst case
             # the fast path's conclusive verdicts are meant to cut
             self._metrics.histogram("latency.rejected_ms").observe(
                 latency_ms
@@ -585,52 +595,30 @@ class AdmissionService:
     def _climb_ladder(
         self, schedule: NetworkSchedule, batch: Sequence[AdmissionRequest]
     ) -> Tuple[Optional[Tuple[str, NetworkSchedule]], Dict[str, str]]:
-        """Decide analytically if possible, otherwise run the rungs.
+        """Decide analytically if possible, otherwise climb the rungs.
 
         The fast path goes first: a conclusive accept returns without
         any solver call, a conclusive reject skips the whole ladder
         (the analytic checks are necessary conditions — no rung could
-        succeed), and a constructive fall-through skips the incremental
-        rung (the fast path already ran that computation and watched it
-        fail).  The remaining rungs then either climb in series or, with
-        ``portfolio=True``, race concurrently — first success wins.
+        succeed), and a fall-through climbs the remaining rungs in
+        series until one succeeds.
 
         Returns ``((rung name, new schedule), attempts)`` on success or
         ``(None, attempts)`` with per-rung failure reasons.
         """
-        solvers = {
-            RUNG_INCREMENTAL: lambda: self._solve_incremental(schedule, batch),
-            RUNG_FULL: lambda: self._solve_full(schedule, batch),
-            RUNG_HEURISTIC: lambda: self._solve_heuristic(schedule, batch),
-        }
         attempts: Dict[str, str] = {}
-        rungs = list(self._config.rungs)
         if self._fastpath_on:
             verdict = self._run_fastpath(schedule, batch, attempts)
             if verdict.verdict == fastpath_module.ACCEPT:
                 return (RUNG_FASTPATH, verdict.schedule), attempts
             if verdict.verdict == fastpath_module.REJECT:
                 return None, attempts
-            if verdict.subsumes_incremental:
-                for rung in rungs:
-                    if rung.name == RUNG_INCREMENTAL:
-                        attempts[RUNG_INCREMENTAL] = (
-                            "subsumed by the fast path's failed "
-                            "constructive attempt"
-                        )
-                rungs = [r for r in rungs if r.name != RUNG_INCREMENTAL]
-
-        known = []
-        for rung in rungs:
-            if rung.name in solvers:
-                known.append(rung)
-            else:
-                attempts[rung.name] = "unknown rung"
-        if (self._config.portfolio and not self._config.certify
-                and len(known) > 1):
-            outcome = self._race_rungs(known, solvers, attempts)
-            return outcome, attempts
-        for rung in known:
+        solvers = {
+            RUNG_INCREMENTAL: lambda: self._solve_incremental(schedule, batch),
+            RUNG_FULL: lambda: self._solve_full(schedule, batch),
+            RUNG_HEURISTIC: lambda: self._solve_heuristic(schedule, batch),
+        }
+        for rung in self._rungs:
             result = self._run_rung(rung, solvers[rung.name], attempts)
             if result is not None:
                 return (rung.name, result), attempts
@@ -646,7 +634,7 @@ class AdmissionService:
         self._metrics.counter("rungs.fastpath.attempts").inc()
         started = self._clock()
         with self._tracer.span(
-            "admission.rung", rung=RUNG_FASTPATH, attempt=0
+            "admission.rung", rung=RUNG_FASTPATH
         ) as rung_span:
             try:
                 result = fastpath_module.evaluate(
@@ -686,198 +674,50 @@ class AdmissionService:
                 )
         return result
 
-    def _race_rungs(
-        self,
-        rungs: Sequence[RungConfig],
-        solvers: Dict[str, Callable[[], NetworkSchedule]],
-        attempts: Dict[str, str],
-    ) -> Optional[Tuple[str, NetworkSchedule]]:
-        """Race the rungs concurrently; first success wins.
-
-        Each rung runs on its own daemon thread under its own wall-clock
-        budget.  Losers — overdue rungs and the also-rans after a win —
-        are abandoned through the same plumbing as
-        :func:`_call_with_timeout`: ``solver.threads_abandoned`` counts
-        them, ``solver.orphans_running`` tracks the ones still burning
-        CPU (each orphan decrements it on exit), and their results are
-        discarded.
-        """
-        self._metrics.counter("portfolio.races").inc()
-        results: "queue_module.Queue[Tuple[RungConfig, str, object]]" = (
-            queue_module.Queue()
-        )
-        trace_ctx = self._tracer.current_context()
-        started = self._clock()
-
-        class _Entry:
-            __slots__ = ("rung", "state", "lock", "deadline")
-
-        entries: Dict[str, _Entry] = {}
-        for rung in rungs:
-            entry = _Entry()
-            entry.rung = rung
-            entry.state = {"abandoned": False, "finished": False}
-            entry.lock = threading.Lock()
-            entry.deadline = (
-                started + rung.timeout_s
-                if rung.timeout_s and rung.timeout_s > 0 else None
-            )
-            entries[rung.name] = entry
-            self._metrics.counter(f"rungs.{rung.name}.attempts").inc()
-
-            def worker(rung=rung, entry=entry) -> None:
-                with self._tracer.use_context(trace_ctx):
-                    with self._tracer.span(
-                        "admission.rung", rung=rung.name, attempt=0,
-                        raced=True,
-                    ) as rung_span:
-                        try:
-                            value = solvers[rung.name]()
-                        except (InfeasibleError, ScheduleError, StreamError,
-                                ValueError) as exc:
-                            rung_span.set(outcome="infeasible")
-                            payload = (rung, "infeasible", exc)
-                        except Exception as exc:  # noqa: BLE001
-                            rung_span.set(outcome="error")
-                            payload = (rung, "error", exc)
-                        else:
-                            rung_span.set(outcome="success")
-                            payload = (rung, "success", value)
-                with entry.lock:
-                    entry.state["finished"] = True
-                    if entry.state["abandoned"]:
-                        # loser or overdue: result discarded
-                        self._metrics.gauge("solver.orphans_running").add(-1)
-                        return
-                results.put(payload)
-
-            threading.Thread(
-                target=worker, name=f"repro-portfolio-{rung.name}",
-                daemon=True,
-            ).start()
-
-        def abandon(entry: _Entry, why: str) -> bool:
-            """Mark a still-running rung abandoned; True if it was live."""
-            with entry.lock:
-                if entry.state["finished"] or entry.state["abandoned"]:
-                    return False
-                entry.state["abandoned"] = True
-            self._metrics.counter("solver.threads_abandoned").inc()
-            self._metrics.gauge("solver.orphans_running").add(1)
-            self._metrics.counter("portfolio.losers_cancelled").inc()
-            if self._events.enabled:
-                self._events.emit(
-                    "solver.abandoned", rung=entry.rung.name, cause=why,
-                    timeout_s=entry.rung.timeout_s,
-                )
-            return True
-
-        winner: Optional[Tuple[str, NetworkSchedule]] = None
-        pending = dict(entries)
-        while pending and winner is None:
-            now = self._clock()
-            for name, entry in list(pending.items()):
-                if entry.deadline is not None and now >= entry.deadline:
-                    if abandon(entry, "timeout"):
-                        self._metrics.counter(
-                            f"rungs.{name}.timeouts"
-                        ).inc()
-                        attempts[name] = (
-                            f"solve exceeded {entry.rung.timeout_s:.3f}s "
-                            f"budget (raced)"
-                        )
-                        self._observe_rung_latency(entry.rung, started)
-                        del pending[name]
-            if not pending:
-                break
-            deadlines = [
-                e.deadline for e in pending.values() if e.deadline is not None
-            ]
-            wait_s = (
-                max(min(deadlines) - self._clock(), 0.001)
-                if deadlines else 0.05
-            )
-            try:
-                rung, status, payload = results.get(timeout=wait_s)
-            except queue_module.Empty:
-                continue
-            entry = pending.pop(rung.name, None)
-            if entry is None:
-                continue  # raced with its own timeout handling
-            self._observe_rung_latency(rung, started)
-            if status == "success":
-                self._metrics.counter(f"rungs.{rung.name}.successes").inc()
-                self._harvest_solver_stats(payload)
-                winner = (rung.name, payload)
-            elif status == "infeasible":
-                self._metrics.counter(f"rungs.{rung.name}.failures").inc()
-                attempts[rung.name] = str(payload)
-            else:
-                self._metrics.counter(f"rungs.{rung.name}.errors").inc()
-                attempts[rung.name] = (
-                    f"{type(payload).__name__}: {payload}"
-                )
-        # cancel the also-rans (their threads keep running to completion
-        # but their results are discarded and accounted as orphans)
-        for entry in pending.values():
-            abandon(entry, "lost race")
-        return winner
-
     def _run_rung(
         self,
         rung: RungConfig,
         solver: Callable[[], NetworkSchedule],
         attempts: Dict[str, str],
     ) -> Optional[NetworkSchedule]:
-        for attempt in range(rung.retries + 1):
-            self._metrics.counter(f"rungs.{rung.name}.attempts").inc()
-            started = self._clock()
-            with self._tracer.span(
-                "admission.rung", rung=rung.name, attempt=attempt
-            ) as rung_span:
-                traced = self._traced_solver(solver, rung, rung_span)
-                try:
-                    result = _call_with_timeout(
-                        traced, rung.timeout_s, self._metrics,
-                        events=self._events, rung_name=rung.name,
-                    )
-                except RungTimeout as exc:
-                    self._metrics.counter(f"rungs.{rung.name}.timeouts").inc()
-                    attempts[rung.name] = str(exc)
-                    rung_span.set(outcome="timeout")
-                except (InfeasibleError, ScheduleError, StreamError,
-                        ValueError) as exc:
-                    # deterministic verdict: retrying cannot change it
-                    self._metrics.counter(f"rungs.{rung.name}.failures").inc()
-                    attempts[rung.name] = str(exc)
-                    rung_span.set(outcome="infeasible")
-                    if isinstance(exc, CertifiedInfeasibleError):
-                        # the rejection's UNSAT proof replayed cleanly
-                        self._metrics.counter(
-                            "certificates.verified_unsat"
-                        ).inc()
-                        rung_span.set(certified=True)
-                    self._observe_rung_latency(rung, started)
-                    return None
-                except Exception as exc:  # noqa: BLE001 - keep the service up
-                    self._metrics.counter(f"rungs.{rung.name}.errors").inc()
-                    attempts[rung.name] = f"{type(exc).__name__}: {exc}"
-                    rung_span.set(outcome="error")
-                    if isinstance(exc, CertificateError):
-                        # a verdict failed independent checking: a solver
-                        # bug — surfaced loudly, never silently admitted
-                        self._metrics.counter("certificates.failed").inc()
-                        rung_span.set(certified=False)
-                else:
-                    self._metrics.counter(f"rungs.{rung.name}.successes").inc()
-                    rung_span.set(outcome="success")
-                    self._observe_rung_latency(rung, started)
-                    self._harvest_solver_stats(result)
-                    return result
+        self._metrics.counter(f"rungs.{rung.name}.attempts").inc()
+        started = self._clock()
+        result: Optional[NetworkSchedule] = None
+        with self._tracer.span("admission.rung", rung=rung.name) as rung_span:
+            traced = self._traced_solver(solver, rung, rung_span)
+            try:
+                result = _call_with_timeout(
+                    traced, rung.timeout_s, self._metrics,
+                    events=self._events, rung_name=rung.name,
+                )
+            except RungTimeout as exc:
+                self._metrics.counter(f"rungs.{rung.name}.timeouts").inc()
+                attempts[rung.name] = str(exc)
+                rung_span.set(outcome="timeout")
+            except (InfeasibleError, ScheduleError, StreamError,
+                    ValueError) as exc:
+                self._metrics.counter(f"rungs.{rung.name}.failures").inc()
+                attempts[rung.name] = str(exc)
+                rung_span.set(outcome="infeasible")
+                if isinstance(exc, CertifiedInfeasibleError):
+                    # the rejection's UNSAT proof replayed cleanly
+                    self._metrics.counter("certificates.verified_unsat").inc()
+                    rung_span.set(certified=True)
+            except Exception as exc:  # noqa: BLE001 - keep the service up
+                self._metrics.counter(f"rungs.{rung.name}.errors").inc()
+                attempts[rung.name] = f"{type(exc).__name__}: {exc}"
+                rung_span.set(outcome="error")
+                if isinstance(exc, CertificateError):
+                    # a verdict failed independent checking: a solver
+                    # bug — surfaced loudly, never silently admitted
+                    self._metrics.counter("certificates.failed").inc()
+                    rung_span.set(certified=False)
+            else:
+                self._metrics.counter(f"rungs.{rung.name}.successes").inc()
+                rung_span.set(outcome="success")
+                self._harvest_solver_stats(result)
             self._observe_rung_latency(rung, started)
-            if attempt < rung.retries and rung.backoff_s:
-                self._sleep(rung.backoff_s * (2 ** attempt))
-        return None
+        return result
 
     def _observe_rung_latency(self, rung: RungConfig, started: float) -> None:
         self._metrics.histogram(

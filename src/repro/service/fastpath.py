@@ -33,10 +33,10 @@ common case with two sound, placement-independent arguments:
   (a new sharing stream only adds its own prudent-reservation extras).
 
 Anything else is **inconclusive** and falls through to the solver
-ladder.  Because the constructive attempt *is* the incremental rung's
-computation (with delta-validation instead of a full pass), a fall
-through also proves the incremental rung would fail — the ladder may
-skip straight to the re-solve rungs.
+ladder.  The constructive attempt *is* the incremental rung's
+computation (with delta-validation instead of a full pass, and sharing
+TCT placed too), so with the fast path on the ladder has no incremental
+rung and a fall-through goes straight to the re-solve rungs.
 
 All arithmetic is exact: integer nanoseconds and
 :class:`fractions.Fraction` densities, never floats.
@@ -86,19 +86,11 @@ class FastPathResult:
 
     ``schedule`` is populated only for :data:`ACCEPT` — the already
     delta-validated schedule with the batch applied, ready to publish.
-
-    ``subsumes_incremental`` is set on an :data:`INCONCLUSIVE` verdict
-    whose constructive attempt ran and failed: the attempt *is* the
-    incremental rung's computation (same deterministic primitives; the
-    only difference, delta- vs full-validation, can only fail on a
-    subset of the full check), so the ladder may skip the incremental
-    rung — it would fail identically.
     """
 
     verdict: str
     reason: str
     schedule: Optional[NetworkSchedule] = None
-    subsumes_incremental: bool = False
 
     @property
     def conclusive(self) -> bool:
@@ -142,8 +134,7 @@ def evaluate(
         if reason is not None:
             return FastPathResult(REJECT, reason)
         return FastPathResult(
-            INCONCLUSIVE, f"constructive placement failed: {exc}",
-            subsumes_incremental=True,
+            INCONCLUSIVE, f"constructive placement failed: {exc}"
         )
     return FastPathResult(
         ACCEPT, "constructive placement delta-validated", placed

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.histogram import nearest_rank
 from repro.sim.frames import SimFrame
 
 
@@ -137,14 +138,12 @@ class LatencyRecorder:
         )
 
     def percentile(self, stream: str, fraction: float) -> int:
-        """Latency at a CDF fraction (nearest-rank)."""
-        if not 0 < fraction <= 1:
-            raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-        values = sorted(self._latencies.get(stream, ()))
+        """Latency at a CDF fraction (nearest-rank); ``ValueError`` for
+        a fraction outside ``(0, 1]``."""
+        values = self._latencies.get(stream)
         if not values:
             raise KeyError(f"no delivered messages recorded for {stream!r}")
-        rank = max(0, math.ceil(fraction * len(values)) - 1)
-        return values[rank]
+        return nearest_rank(sorted(values), fraction)
 
     def cdf(self, stream: str) -> List[Tuple[int, float]]:
         """(latency, cumulative fraction) points for plotting."""

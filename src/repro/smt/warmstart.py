@@ -1,10 +1,10 @@
 """Warm-start state for consecutive DPLL(T) solves on one snapshot.
 
 The admission ladder often solves several formulas against the *same*
-store snapshot (batch splinters, retries, racing rungs).  Those formulas
-differ — streams come and go — so CDCL-learned clauses are **not**
-transferable: they are resolvents of the input CNF and would be unsound
-against a different formula.  Three kinds of state *are* sound to carry
+store snapshot (batch splinters, consecutive requests that publish
+nothing).  Those formulas differ — streams come and go — so
+CDCL-learned clauses are **not** transferable: they are resolvents of
+the input CNF and would be unsound against a different formula.  Three kinds of state *are* sound to carry
 across formulas:
 
 * **Theory lemmas.**  A difference-logic conflict clause

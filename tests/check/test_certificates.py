@@ -236,6 +236,8 @@ class TestServiceCertify:
             priority=Priorities.NSH_PL,
         )))
         assert not decision.accepted
+        # certify turns the fast path off, so the whole ladder climbs
+        assert set(decision.attempts) == {"incremental", "full", "heuristic"}
         counters = service.metrics.counters_with_prefix("certificates")
         assert counters.get("verified_unsat", 0) >= 1
         assert counters.get("failed", 0) == 0

@@ -260,6 +260,14 @@ class TestGracefulDrain:
             for index in range(5):
                 client.send(_tct(f"q{index}"), index)
             assert backend.entered.wait(timeout=10)
+            # the first request is parked in the backend; stop only
+            # once the server has read the other four into its queue,
+            # or they would arrive mid-drain (the next test's case)
+            deadline = time.monotonic() + 10
+            while (frontend.metrics.gauge("frontend.queue.depth").value < 4
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
+            assert frontend.metrics.gauge("frontend.queue.depth").value == 4
 
             stopper = threading.Thread(target=thread.stop)
             stopper.start()

@@ -2,6 +2,7 @@
 500-request storm acceptance criterion."""
 
 import random
+import threading
 import time
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from repro.core.schedule import InfeasibleError, validate
 from repro.model.stream import EctStream, Priorities, TctRequirement
 from repro.model.units import milliseconds
+from repro.obs import EventLog, filter_events
 from repro.service import (
     RUNG_FASTPATH,
     RUNG_FULL,
@@ -23,6 +25,7 @@ from repro.service import (
     ServiceConfig,
     empty_schedule,
 )
+from repro.service.metrics import Gauge
 from tests.conftest import MTU_WIRE_NS
 
 
@@ -125,6 +128,15 @@ class TestLadder:
         assert decision.accepted
         assert decision.rung == RUNG_HEURISTIC
         assert decision.attempts[RUNG_FULL] == "stub"
+
+    def test_unknown_rung_name_fails_fast(self, star_topology):
+        config = ServiceConfig(rungs=(
+            RungConfig(RUNG_FULL), RungConfig("exhaustive"),
+        ))
+        with pytest.raises(ValueError, match="unknown ladder rung"):
+            AdmissionService(
+                ScheduleStore(empty_schedule(star_topology)), config=config
+            )
 
 
 class TestScreening:
@@ -242,6 +254,40 @@ class TestBatching:
         assert len(decisions) == threads_n * per_thread
         assert service.metrics.gauge("queue.depth").value == 0
 
+    def test_drain_cannot_zero_a_concurrent_enqueue(
+        self, service, monkeypatch
+    ):
+        """drain resets the depth gauge under the queue lock: an enqueue
+        racing the reset must leave the gauge at its own depth, not 0."""
+        racer = threading.Thread(target=service.enqueue, args=(_tct("late"),))
+
+        class RacingGauge(Gauge):
+            """drain's ``set(0)`` lets ``racer`` enqueue before the
+            value is stored."""
+
+            def set(self, value):
+                if value == 0 and racer.ident is None:
+                    racer.start()
+                    # with the fix the racer blocks on the queue lock
+                    # until drain releases it; otherwise it slips in
+                    racer.join(timeout=0.2)
+                super().set(value)
+
+        depth = RacingGauge()
+        real_gauge = service.metrics.gauge
+        monkeypatch.setattr(
+            service.metrics, "gauge",
+            lambda name: depth if name == "queue.depth" else real_gauge(name),
+        )
+        service.enqueue(_tct("a"))
+        assert [d.stream for d in service.drain()] == ["a"]
+        racer.join(timeout=5)
+        assert not racer.is_alive()
+        # "late" is still queued, and the gauge says so
+        assert depth.value == 1
+        assert [d.stream for d in service.drain()] == ["late"]
+        assert depth.value == 0
+
 
 class TestTimeoutsAndRetries:
     def test_rung_timeout_climbs_ladder(self, star_topology, monkeypatch):
@@ -249,8 +295,10 @@ class TestTimeoutsAndRetries:
             RungConfig(RUNG_INCREMENTAL, timeout_s=0.02),
             RungConfig(RUNG_FULL, timeout_s=None),
         ))
+        events = EventLog(clock=lambda: 0)
         service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)), config=config)
+            ScheduleStore(empty_schedule(star_topology)), config=config,
+            events=events)
         real = service._solve_incremental
 
         def slow(schedule, batch):
@@ -264,48 +312,44 @@ class TestTimeoutsAndRetries:
         assert "budget" in decision.attempts[RUNG_INCREMENTAL]
         assert service.metrics.counter(
             f"rungs.{RUNG_INCREMENTAL}.timeouts").value == 1
-
-    def test_bounded_retry_with_backoff(self, star_topology, monkeypatch):
-        sleeps = []
-        config = ServiceConfig(fastpath=False, rungs=(
-            RungConfig(RUNG_FULL, timeout_s=None, retries=2, backoff_s=0.01),
-        ))
-        service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)), config=config,
-            sleep=sleeps.append)
-        calls = {"n": 0}
-        real = service._solve_full
-
-        def flaky(schedule, batch):
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise RuntimeError("transient backend hiccup")
-            return real(schedule, batch)
-
-        monkeypatch.setattr(service, "_solve_full", flaky)
-        decision = service.submit(_tct("a"))
-        assert decision.accepted
-        assert decision.rung == RUNG_FULL
-        assert calls["n"] == 3
-        assert sleeps == [0.01, 0.02]  # exponential backoff
-        assert service.metrics.counter(f"rungs.{RUNG_FULL}.errors").value == 2
+        # the overdue solve is abandoned, accounted, and journaled
+        assert service.metrics.counter(
+            "solver.threads_abandoned").value == 1
+        abandoned = filter_events(events.events(), kind="solver.abandoned")
+        assert [e.attributes["rung"] for e in abandoned] == [RUNG_INCREMENTAL]
+        # the orphan decrements the gauge as it unwinds
+        deadline = time.monotonic() + 5
+        while (service.metrics.gauge("solver.orphans_running").value
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert service.metrics.gauge("solver.orphans_running").value == 0
 
     def test_retries_do_not_apply_to_infeasible(self, star_topology, monkeypatch):
-        config = ServiceConfig(fastpath=False, rungs=(
-            RungConfig(RUNG_FULL, timeout_s=None, retries=3, backoff_s=0.01),
-        ))
-        service = AdmissionService(
-            ScheduleStore(empty_schedule(star_topology)), config=config)
-        calls = {"n": 0}
+        """Each rung runs once: neither a deterministic verdict nor a
+        solver error is retried; both climb to the next rung."""
+        for failure, counter in (
+            (InfeasibleError("deterministically full"), "failures"),
+            (RuntimeError("backend hiccup"), "errors"),
+        ):
+            config = ServiceConfig(fastpath=False, rungs=(
+                RungConfig(RUNG_FULL, timeout_s=None),
+                RungConfig(RUNG_HEURISTIC, timeout_s=None),
+            ))
+            service = AdmissionService(
+                ScheduleStore(empty_schedule(star_topology)), config=config)
+            calls = {"n": 0}
 
-        def always_infeasible(schedule, batch):
-            calls["n"] += 1
-            raise InfeasibleError("deterministically full")
+            def failing(schedule, batch, failure=failure):
+                calls["n"] += 1
+                raise failure
 
-        monkeypatch.setattr(service, "_solve_full", always_infeasible)
-        decision = service.submit(_tct("a"))
-        assert not decision.accepted
-        assert calls["n"] == 1  # no point retrying a deterministic verdict
+            monkeypatch.setattr(service, "_solve_full", failing)
+            decision = service.submit(_tct("a"))
+            assert decision.accepted
+            assert decision.rung == RUNG_HEURISTIC
+            assert calls["n"] == 1
+            assert service.metrics.counter(
+                f"rungs.{RUNG_FULL}.{counter}").value == 1
 
 
 class TestDeploymentEmission:

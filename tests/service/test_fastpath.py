@@ -120,7 +120,8 @@ class TestVerdicts:
         # probe's earliest fit there busts a 3-wire-time deadline, yet
         # no necessary condition trips (the link lands on exactly 4/4
         # density, capacity needs > 1) — so the verdict must be a
-        # fall-through that lets the ladder skip its incremental rung
+        # fall-through, and the service ladder then skips its
+        # incremental rung (the constructive attempt already ran it)
         period = 4 * MTU_WIRE_NS
         current = schedule
         for i in range(3):
@@ -139,7 +140,14 @@ class TestVerdicts:
         result = fastpath.evaluate(current, [probe])
         assert result.verdict == fastpath.INCONCLUSIVE
         assert not result.conclusive
-        assert result.subsumes_incremental
+        service = AdmissionService(ScheduleStore(current))
+        decision = service.submit(probe)
+        assert set(decision.attempts) >= {fastpath.RUNG_FASTPATH, "full"}
+        assert "incremental" not in decision.attempts
+        counters = service.metrics.to_dict()["counters"]
+        assert counters["fastpath.fallthroughs"] == 1
+        assert counters["rungs.full.attempts"] == 1
+        assert "rungs.incremental.attempts" not in counters
 
     def test_unknown_remove_is_inconclusive(self, schedule):
         result = fastpath.evaluate(schedule, [Remove("ghost")])
