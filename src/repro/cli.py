@@ -13,8 +13,9 @@ Commands
     Decide one admit/remove request against a persisted schedule and
     print the decision as JSON; exit 1 on rejection.
 ``serve``
-    Run the online admission service over a JSON-lines request stream
-    (file or stdin), printing one decision JSON per line.
+    Run the online admission service — one store, or with ``--cluster``
+    a sharded cluster — over a JSON-lines request stream (file or
+    stdin), printing one decision JSON per line.
 ``metrics``
     Run a small demo admission and export the service metrics as JSON
     or Prometheus text exposition (``--input`` re-exports a saved
@@ -47,9 +48,9 @@ Commands
     (see :mod:`repro.check`).
 ``cluster``
     Sharded multi-tenant admission (:mod:`repro.cluster`):
-    ``cluster status`` prints the switch-cluster partition,
-    ``cluster admit`` decides one request against a fresh cluster, and
-    ``cluster serve`` drives a JSONL request stream across the shards
+    ``cluster status`` prints the switch-cluster partition and
+    ``cluster admit`` decides one request against a fresh cluster;
+    ``serve --cluster`` drives a JSONL request stream across the shards
     (``--audit`` gcl-audits the stitched global schedule afterwards).
 ``campaign``
     Monte Carlo robustness campaigns (:mod:`repro.campaign`):
@@ -68,6 +69,7 @@ machine-check every solver verdict (SMT backend only).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -96,6 +98,54 @@ def _add_fastpath_flags(parser) -> None:
                              "consecutive solves on one snapshot")
 
 
+def _add_backend_flags(parser) -> None:
+    """The backend a serving command decides against: one admission
+    service, or a sharded cluster with ``--cluster`` (built by
+    :func:`_build_backend`)."""
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--state", help="initial schedule JSON")
+    source.add_argument("--topology",
+                        help="topology JSON; starts from an empty schedule")
+    parser.add_argument("--cluster", action="store_true",
+                        help="shard the topology and decide through a "
+                             "ClusterCoordinator (requires --topology)")
+    parser.add_argument("--shards", type=int, default=4,
+                        help="number of shards with --cluster")
+    parser.add_argument("--seeds", metavar="SW[,SW...]",
+                        help="comma-separated seed switches with --cluster")
+    parser.add_argument("--workers", type=int,
+                        help="cluster thread-pool size "
+                             "(default: one per shard)")
+    parser.add_argument("--backend", default="heuristic",
+                        choices=("heuristic", "smt"),
+                        help="backend for the full re-solve rung")
+    parser.add_argument("--trace", metavar="FILE",
+                        help="write admission spans here as JSON-lines")
+    _add_fastpath_flags(parser)
+
+
+def _add_request_flags(parser) -> None:
+    """The one admit/remove request of ``admit`` and ``cluster admit``
+    (see :func:`_admit_request`)."""
+    parser.add_argument("--remove", metavar="NAME",
+                        help="retire a stream instead of admitting one")
+    parser.add_argument("--name", help="stream name")
+    parser.add_argument("--source", help="talker device")
+    parser.add_argument("--dest", help="listener device")
+    parser.add_argument("--period-us", type=float,
+                        help="TCT period / ECT minimum inter-event time")
+    parser.add_argument("--length", type=int, default=1500,
+                        help="message length in bytes")
+    parser.add_argument("--e2e-us", type=float,
+                        help="end-to-end budget (default: the period)")
+    parser.add_argument("--share", action="store_true",
+                        help="TCT stream shares its slots with ECT")
+    parser.add_argument("--ect", action="store_true",
+                        help="admit an event-triggered stream")
+    parser.add_argument("--possibilities", type=int, default=4,
+                        help="probabilistic possibilities N for --ect")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -119,23 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     admit.add_argument("--state", required=True,
                        help="schedule JSON (see repro.serialization)")
     admit.add_argument("--out", help="write the updated schedule JSON here")
-    admit.add_argument("--remove", metavar="NAME",
-                       help="retire a stream instead of admitting one")
-    admit.add_argument("--ect", action="store_true",
-                       help="admit an event-triggered stream")
-    admit.add_argument("--name", help="stream name")
-    admit.add_argument("--source", help="talker device")
-    admit.add_argument("--dest", help="listener device")
-    admit.add_argument("--period-us", type=float,
-                       help="TCT period / ECT minimum inter-event time")
-    admit.add_argument("--length", type=int, default=1500,
-                       help="message length in bytes")
-    admit.add_argument("--e2e-us", type=float,
-                       help="end-to-end budget (default: the period)")
-    admit.add_argument("--share", action="store_true",
-                       help="TCT stream shares its slots with ECT")
-    admit.add_argument("--possibilities", type=int, default=4,
-                       help="probabilistic possibilities N for --ect")
+    _add_request_flags(admit)
     admit.add_argument("--backend", default="heuristic",
                        choices=("heuristic", "smt"),
                        help="backend for the full re-solve rung")
@@ -148,12 +182,16 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_fastpath_flags(admit)
 
     serve = sub.add_parser(
-        "serve", help="serve a JSON-lines admission request stream"
+        "serve", help="serve a JSON-lines admission request stream",
+        description="Decide a JSON-lines request stream against one "
+                    "admission service, or a sharded cluster with "
+                    "--cluster.  Requests are submitted in chunks of "
+                    "max_batch x shards lines (one shard without "
+                    "--cluster): decisions print after each chunk and "
+                    "at end of input, so a producer that waits for each "
+                    "answer should use `repro frontend serve`.",
     )
-    state_source = serve.add_mutually_exclusive_group(required=True)
-    state_source.add_argument("--state", help="initial schedule JSON")
-    state_source.add_argument("--topology",
-                              help="topology JSON; starts from an empty schedule")
+    _add_backend_flags(serve)
     serve.add_argument("--requests", default="-",
                        help="JSONL request file, or '-' for stdin")
     serve.add_argument("--metrics-out",
@@ -165,12 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--emit-deployments", action="store_true",
                        help="build a Qcc deployment per accepted batch")
     serve.add_argument("--max-batch", type=int, default=8,
-                       help="largest request batch validated in one pass")
-    serve.add_argument("--backend", default="heuristic",
-                       choices=("heuristic", "smt"),
-                       help="backend for the full re-solve rung")
-    serve.add_argument("--trace", metavar="FILE",
-                       help="write admission spans here as JSON-lines")
+                       help="largest request batch validated in one "
+                            "pass; decisions print every max_batch x "
+                            "shards lines and at end of input")
     serve.add_argument("--events", metavar="FILE",
                        help="write the structured event journal here as "
                             "JSON-lines")
@@ -178,7 +213,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="verify every solver verdict with the "
                             "repro.check certificate checker "
                             "(requires --backend smt)")
-    _add_fastpath_flags(serve)
+    serve.add_argument("--audit", action="store_true",
+                       help="gcl-audit the stitched global schedule "
+                            "after the run (--cluster only)")
+    serve.add_argument("--prometheus-out", metavar="FILE",
+                       help="write per-shard + cluster Prometheus text "
+                            "exposition here after the run "
+                            "(--cluster only)")
 
     metrics = sub.add_parser(
         "metrics", help="run a demo admission and export its metrics"
@@ -205,6 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="number of switch-cluster shards")
         p.add_argument("--seeds", metavar="SW[,SW...]",
                        help="comma-separated seed switches to pin regions")
+        p.set_defaults(cluster=True, state=None)
 
     cstatus = cluster_sub.add_parser(
         "status", help="print the partition and per-shard summary"
@@ -215,52 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "admit", help="decide one request against a fresh cluster"
     )
     _cluster_common(cadmit)
-    cadmit.add_argument("--remove", metavar="NAME",
-                        help="retire a stream instead of admitting one")
-    cadmit.add_argument("--name", help="stream name")
-    cadmit.add_argument("--source", help="talker device")
-    cadmit.add_argument("--dest", help="listener device")
-    cadmit.add_argument("--period-us", type=float,
-                        help="TCT period / ECT minimum inter-event time")
-    cadmit.add_argument("--length", type=int, default=1500,
-                        help="message length in bytes")
-    cadmit.add_argument("--e2e-us", type=float,
-                        help="end-to-end budget (default: the period)")
-    cadmit.add_argument("--share", action="store_true",
-                        help="TCT stream shares its slots with ECT")
-    cadmit.add_argument("--ect", action="store_true",
-                        help="admit an event-triggered stream")
-    cadmit.add_argument("--possibilities", type=int, default=4,
-                        help="probabilistic possibilities N for --ect")
-
-    cserve = cluster_sub.add_parser(
-        "serve", help="serve a JSONL request stream across the shards"
-    )
-    _cluster_common(cserve)
-    cserve.add_argument("--requests", default="-",
-                        help="JSONL request file, or '-' for stdin")
-    cserve.add_argument("--workers", type=int,
-                        help="thread-pool size (default: one per shard)")
-    cserve.add_argument("--backend", default="heuristic",
-                        choices=("heuristic", "smt"),
-                        help="backend for the full re-solve rung")
-    _add_fastpath_flags(cserve)
-    cserve.add_argument("--metrics-out",
-                        help="write the cluster metrics JSON here")
-    cserve.add_argument("--audit", action="store_true",
-                        help="gcl-audit the stitched global schedule "
-                             "after the run")
-    cserve.add_argument("--fail-on-reject", action="store_true",
-                        help="exit 1 if any request was rejected")
-    cserve.add_argument("--trace", metavar="FILE",
-                        help="write the distributed admission spans here "
-                             "as JSON-lines")
-    cserve.add_argument("--events", metavar="FILE",
-                        help="write the structured event journal here as "
-                             "JSON-lines")
-    cserve.add_argument("--prometheus-out", metavar="FILE",
-                        help="write per-shard + cluster Prometheus text "
-                             "exposition here after the run")
+    _add_request_flags(cadmit)
 
     trace = sub.add_parser("trace", help="inspect a span trace (JSONL)")
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
@@ -469,24 +466,14 @@ def _dump_events(path, events) -> None:
     save_events(path, events.events())
 
 
-def _fastpath_config(args) -> dict:
-    """ServiceConfig kwargs from the shared fast-path flags.
-
-    ``getattr`` defaults keep commands without the flags (``cluster
-    status``/``admit``) on the ServiceConfig defaults.
-    """
-    return {
-        "fastpath": not getattr(args, "no_fastpath", False),
-        "warm_start": not getattr(args, "no_warm_start", False),
-    }
-
-
+@contextlib.contextmanager
 def _open_requests(path: str):
-    """The request source: a file handle, or stdin for ``-``.
-
-    Callers must close the returned handle unless it is stdin.
-    """
-    return sys.stdin if path == "-" else open(path)
+    """The request source: a file (closed on exit), or stdin for ``-``."""
+    if path == "-":
+        yield sys.stdin
+    else:
+        with open(path) as handle:
+            yield handle
 
 
 def _iter_request_lines(handle):
@@ -506,24 +493,65 @@ def _iter_request_lines(handle):
 
 def _run_admit(args) -> int:
     from repro.serialization import decision_to_dict, schedule_to_dict
-    from repro.service import AdmissionService, ScheduleStore, ServiceConfig
 
-    store = ScheduleStore(_load_schedule(args.state))
     tracer = _make_tracer(args.trace)
     _check_certify(args)
-    service = AdmissionService(
-        store,
-        config=ServiceConfig(backend=args.backend, certify=args.certify,
-                             **_fastpath_config(args)),
-        tracer=tracer,
-    )
+    service = _build_backend(args, tracer=tracer,
+                             certify=args.certify).service
     decision = service.submit(_admit_request(args))
     print(json.dumps(decision_to_dict(decision)))
     if args.out:
         with open(args.out, "w") as handle:
-            json.dump(schedule_to_dict(store.schedule), handle)
+            json.dump(schedule_to_dict(service.store.schedule), handle)
     _dump_trace(args.trace, tracer)
     return 0 if decision.accepted else 1
+
+
+def _build_backend(args, tracer=None, events=None, **config):
+    """The :class:`ServiceBackend` or, with ``--cluster``, the
+    :class:`ClusterBackend` the backend flags describe.
+
+    ``config`` adds :class:`ServiceConfig` fields.  ``admit`` (always
+    ``--state``) and ``cluster status``/``admit`` (``cluster``/``state``
+    defaults) declare only some of the flags; the ones they lack keep
+    the ServiceConfig and pool defaults.
+    """
+    from repro.frontend.server import ClusterBackend, ServiceBackend
+    from repro.serialization import topology_from_dict
+    from repro.service import (
+        AdmissionService,
+        ScheduleStore,
+        ServiceConfig,
+        empty_schedule,
+    )
+
+    config = ServiceConfig(
+        backend=getattr(args, "backend", "heuristic"),
+        fastpath=not getattr(args, "no_fastpath", False),
+        warm_start=not getattr(args, "no_warm_start", False),
+        **config,
+    )
+    if args.state:
+        schedule = _load_schedule(args.state)
+    else:
+        with open(args.topology) as handle:
+            topology = topology_from_dict(json.load(handle))
+        if args.cluster:
+            from repro.cluster import ClusterCoordinator, partition_topology
+
+            seeds = args.seeds.split(",") if args.seeds else None
+            return ClusterBackend(ClusterCoordinator(
+                partition=partition_topology(topology, args.shards,
+                                             seeds=seeds),
+                config=config,
+                tracer=tracer,
+                events=events,
+                max_workers=getattr(args, "workers", None),
+            ))
+        schedule = empty_schedule(topology)
+    return ServiceBackend(AdmissionService(
+        ScheduleStore(schedule), config=config, tracer=tracer, events=events,
+    ))
 
 
 def _run_serve(args) -> int:
@@ -531,75 +559,79 @@ def _run_serve(args) -> int:
         decision_to_dict,
         metrics_to_dict,
         schedule_to_dict,
-        topology_from_dict,
     )
-    from repro.service import (
-        AdmissionService,
-        ScheduleStore,
-        ServiceConfig,
-        empty_schedule,
-        request_from_dict,
-    )
+    from repro.service import request_from_dict
 
-    if args.state:
-        schedule = _load_schedule(args.state)
-    else:
-        with open(args.topology) as handle:
-            schedule = empty_schedule(topology_from_dict(json.load(handle)))
-    store = ScheduleStore(schedule)
+    scoped = {
+        "--state": args.state, "--save-state": args.save_state,
+        "--certify": args.certify,
+        "--emit-deployments": args.emit_deployments,
+    } if args.cluster else {
+        "--audit": args.audit, "--prometheus-out": args.prometheus_out,
+    }
+    misplaced = [flag for flag, value in scoped.items() if value]
+    if misplaced:
+        print(f"error: {', '.join(misplaced)} "
+              f"{'cannot be used with' if args.cluster else 'requires'} "
+              f"--cluster", file=sys.stderr)
+        return 2
+    _check_certify(args)
     tracer = _make_tracer(args.trace)
     events = _make_event_log(args.events)
-    _check_certify(args)
-    service = AdmissionService(store, config=ServiceConfig(
-        backend=args.backend,
-        max_batch=args.max_batch,
-        emit_deployments=args.emit_deployments,
-        certify=args.certify,
-        **_fastpath_config(args),
-    ), tracer=tracer, events=events)
-
-    decisions = []
+    backend = _build_backend(args, tracer=tracer, events=events,
+                             max_batch=args.max_batch,
+                             emit_deployments=args.emit_deployments,
+                             certify=args.certify)
+    chunk_size = args.max_batch * backend.shard_count
+    chunk = []
+    rejected = False
 
     def flush() -> None:
-        for decision in service.drain():
-            decisions.append(decision)
+        nonlocal rejected
+        if not chunk:
+            return
+        for decision in backend.submit_many(chunk):
+            rejected = rejected or not decision.accepted
             print(json.dumps(decision_to_dict(decision)))
+        sys.stdout.flush()
+        chunk.clear()
 
-    # stream incrementally: enqueue as lines arrive, drain (and print
-    # decisions) every max_batch so a piped producer gets answers
-    # without the CLI ever holding the whole request stream in memory
-    handle = _open_requests(args.requests)
+    # stream incrementally: a piped producer gets answers every chunk
+    # and the CLI never holds the whole request stream in memory
     try:
-        enqueued = 0
-        for lineno, line in _iter_request_lines(handle):
-            try:
-                service.enqueue(request_from_dict(json.loads(line)))
-            except (ValueError, json.JSONDecodeError) as exc:
-                print(f"error: requests line {lineno}: {exc}",
-                      file=sys.stderr)
-                return 2
-            enqueued += 1
-            if enqueued >= args.max_batch:
-                flush()
-                enqueued = 0
+        with _open_requests(args.requests) as handle:
+            for lineno, line in _iter_request_lines(handle):
+                try:
+                    chunk.append(request_from_dict(json.loads(line)))
+                except (ValueError, json.JSONDecodeError) as exc:
+                    flush()  # every request read before the bad line
+                    print(f"error: requests line {lineno}: {exc}",
+                          file=sys.stderr)
+                    return 2
+                if len(chunk) >= chunk_size:
+                    flush()
         flush()
+        if args.audit:
+            backend.coordinator.audit()  # raises GclAuditError
+            print(json.dumps({"audit": "ok"}))
+        metrics = metrics_to_dict(backend.metrics)
+        if args.metrics_out:
+            with open(args.metrics_out, "w") as out:
+                json.dump(metrics, out)
+        else:
+            print(json.dumps({"metrics": metrics}))
+        if args.prometheus_out:
+            with open(args.prometheus_out, "w") as out:
+                out.write(backend.coordinator.prometheus())
+        if args.save_state:
+            with open(args.save_state, "w") as out:
+                json.dump(schedule_to_dict(backend.service.store.schedule),
+                          out)
     finally:
-        if handle is not sys.stdin:
-            handle.close()
-    metrics = metrics_to_dict(service.metrics)
-    if args.metrics_out:
-        with open(args.metrics_out, "w") as handle:
-            json.dump(metrics, handle)
-    else:
-        print(json.dumps({"metrics": metrics}))
-    if args.save_state:
-        with open(args.save_state, "w") as handle:
-            json.dump(schedule_to_dict(store.schedule), handle)
+        backend.close()
     _dump_trace(args.trace, tracer)
     _dump_events(args.events, events)
-    if args.fail_on_reject and any(not d.accepted for d in decisions):
-        return 1
-    return 0
+    return 1 if args.fail_on_reject and rejected else 0
 
 
 def _demo_metrics(deterministic: bool):
@@ -656,6 +688,12 @@ def _run_metrics(args) -> int:
     if args.input:
         with open(args.input) as handle:
             data = json.load(handle)
+        if not isinstance(data, dict) or not (
+            {"counters", "gauges", "histograms"} & data.keys()
+        ):
+            print(f"error: {args.input}: not a metrics registry JSON "
+                  f"(no counters, gauges or histograms)", file=sys.stderr)
+            return 2
         data.pop("version", None)
         registry = _registry_from_dict(data)
     else:
@@ -703,107 +741,22 @@ def _registry_from_dict(data):
     return registry
 
 
-def _load_cluster(args, tracer=None, events=None):
-    """A ClusterCoordinator over the topology/shard arguments."""
-    from repro.cluster import ClusterCoordinator, partition_topology
-    from repro.serialization import topology_from_dict
-
-    with open(args.topology) as handle:
-        topology = topology_from_dict(json.load(handle))
-    seeds = args.seeds.split(",") if args.seeds else None
-    partition = partition_topology(topology, args.shards, seeds=seeds)
-    from repro.service import ServiceConfig
-
-    config = ServiceConfig(backend=getattr(args, "backend", "heuristic"),
-                           **_fastpath_config(args))
-    return ClusterCoordinator(
-        partition=partition,
-        config=config,
-        tracer=tracer,
-        events=events,
-        max_workers=getattr(args, "workers", None),
-    )
-
-
 def _run_cluster(args) -> int:
-    if args.cluster_command == "status":
-        coordinator = _load_cluster(args)
-        print(coordinator.partition.describe())
-        print(json.dumps(coordinator.status(), indent=2))
-        coordinator.shutdown()
-        return 0
-    if args.cluster_command == "admit":
+    backend = _build_backend(args)
+    coordinator = backend.coordinator
+    try:
+        if args.cluster_command == "status":
+            print(coordinator.partition.describe())
+            print(json.dumps(coordinator.status(), indent=2))
+            return 0
         from repro.serialization import decision_to_dict
 
-        coordinator = _load_cluster(args)
-        decision = coordinator.submit(_admit_request(args))
+        decision = backend.submit_many([_admit_request(args)])[0]
         print(json.dumps(decision_to_dict(decision)))
         coordinator.audit()
-        coordinator.shutdown()
         return 0 if decision.accepted else 1
-    return _run_cluster_serve(args)
-
-
-#: `cluster serve` submits streamed requests in chunks of this many:
-#: big enough to amortize the cross-shard wave machinery, small enough
-#: that an unbounded pipe never accumulates in memory.
-_CLUSTER_SERVE_CHUNK = 256
-
-
-def _run_cluster_serve(args) -> int:
-    from repro.serialization import decision_to_dict
-    from repro.service import request_from_dict
-
-    tracer = _make_tracer(args.trace)
-    events = _make_event_log(args.events)
-    coordinator = _load_cluster(args, tracer=tracer, events=events)
-    decisions = []
-    chunk = []
-
-    def flush() -> None:
-        if not chunk:
-            return
-        for decision in coordinator.submit_many(chunk):
-            decisions.append(decision)
-            print(json.dumps(decision_to_dict(decision)))
-        chunk.clear()
-
-    # stream incrementally in bounded chunks — the coordinator fans
-    # each chunk across shards; an unbounded pipe never accumulates
-    handle = _open_requests(args.requests)
-    try:
-        for lineno, line in _iter_request_lines(handle):
-            try:
-                chunk.append(request_from_dict(json.loads(line)))
-            except (ValueError, json.JSONDecodeError) as exc:
-                print(f"error: requests line {lineno}: {exc}",
-                      file=sys.stderr)
-                coordinator.shutdown()
-                return 2
-            if len(chunk) >= _CLUSTER_SERVE_CHUNK:
-                flush()
-        flush()
     finally:
-        if handle is not sys.stdin:
-            handle.close()
-    metrics = coordinator.status()
-    if args.metrics_out:
-        with open(args.metrics_out, "w") as handle:
-            json.dump(metrics, handle)
-    else:
-        print(json.dumps({"cluster": metrics["metrics"]}))
-    if args.audit:
-        coordinator.audit()  # raises GclAuditError on inconsistency
-        print(json.dumps({"audit": "ok"}))
-    if args.prometheus_out:
-        with open(args.prometheus_out, "w") as handle:
-            handle.write(coordinator.prometheus())
-    _dump_trace(args.trace, tracer)
-    _dump_events(args.events, events)
-    coordinator.shutdown()
-    if args.fail_on_reject and any(not d.accepted for d in decisions):
-        return 1
-    return 0
+        backend.close()
 
 
 def _run_trace(args) -> int:

@@ -33,22 +33,9 @@ def add_frontend_parser(subparsers) -> None:
     serve = frontend_sub.add_parser(
         "serve", help="serve admission decisions over a JSONL socket"
     )
-    backend_source = serve.add_mutually_exclusive_group(required=True)
-    backend_source.add_argument("--state", help="initial schedule JSON")
-    backend_source.add_argument(
-        "--topology",
-        help="topology JSON; starts from an empty schedule",
-    )
-    serve.add_argument("--cluster", action="store_true",
-                       help="shard the topology and serve through a "
-                            "ClusterCoordinator (requires --topology)")
-    serve.add_argument("--shards", type=int, default=4,
-                       help="number of shards with --cluster")
-    serve.add_argument("--seeds", metavar="SW[,SW...]",
-                       help="comma-separated seed switches with --cluster")
-    serve.add_argument("--workers", type=int,
-                       help="cluster thread-pool size "
-                            "(default: one per shard)")
+    from repro.cli import _add_backend_flags
+
+    _add_backend_flags(serve)
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=0,
@@ -69,17 +56,9 @@ def add_frontend_parser(subparsers) -> None:
                        help="disable the decision cache")
     serve.add_argument("--drain-grace-s", type=float, default=10.0,
                        help="graceful-drain budget on shutdown")
-    serve.add_argument("--backend", default="heuristic",
-                       choices=("heuristic", "smt"),
-                       help="backend for the full re-solve rung")
     serve.add_argument("--metrics-out", metavar="FILE",
                        help="write the frontend+backend metrics JSON "
                             "here on shutdown")
-    serve.add_argument("--trace", metavar="FILE",
-                       help="write admission spans here as JSON-lines")
-    from repro.cli import _add_fastpath_flags
-
-    _add_fastpath_flags(serve)
 
 
 def add_loadgen_parser(subparsers) -> None:
@@ -138,52 +117,20 @@ def run_frontend(args) -> int:
 
 
 def _run_frontend_serve(args) -> int:
-    from repro.cli import _fastpath_config, _load_schedule, _make_tracer
+    from repro.cli import _build_backend, _dump_trace, _make_tracer
     from repro.frontend.server import (
-        ClusterBackend,
         Frontend,
         FrontendConfig,
-        ServiceBackend,
         serve_until_stopped,
     )
-    from repro.serialization import topology_from_dict
-    from repro.service import (
-        AdmissionService,
-        ScheduleStore,
-        ServiceConfig,
-        empty_schedule,
-    )
 
+    if args.cluster and args.state:
+        print("error: --cluster requires --topology", file=sys.stderr)
+        return 2
     tracer = _make_tracer(args.trace)
-    config = ServiceConfig(backend=args.backend, **_fastpath_config(args))
-    coordinator = None
-    if args.cluster:
-        if not args.topology:
-            print("error: --cluster requires --topology", file=sys.stderr)
-            return 2
-        from repro.cluster import ClusterCoordinator, partition_topology
-
-        with open(args.topology) as handle:
-            topology = topology_from_dict(json.load(handle))
-        seeds = args.seeds.split(",") if args.seeds else None
-        coordinator = ClusterCoordinator(
-            partition=partition_topology(topology, args.shards, seeds=seeds),
-            config=config,
-            tracer=tracer,
-            max_workers=args.workers,
-        )
-        backend = ClusterBackend(coordinator)
-    else:
-        if args.state:
-            schedule = _load_schedule(args.state)
-        else:
-            with open(args.topology) as handle:
-                schedule = empty_schedule(topology_from_dict(json.load(handle)))
-        service = AdmissionService(
-            ScheduleStore(schedule), config=config, tracer=tracer
-        )
-        backend = ServiceBackend(service)
-
+    # --max-batch sizes the frontend's coalescing only; every shard
+    # keeps the ServiceConfig default
+    backend = _build_backend(args, tracer=tracer)
     frontend = Frontend(
         backend,
         config=FrontendConfig(
@@ -209,18 +156,13 @@ def _run_frontend_serve(args) -> int:
     except KeyboardInterrupt:  # pragma: no cover - signal path races
         pass
     finally:
-        if coordinator is not None:
-            coordinator.shutdown()
+        backend.close()
     if args.metrics_out:
         payload = frontend.metrics.to_dict()
-        backend_metrics = backend.metrics.to_dict()
-        payload["backend"] = backend_metrics
+        payload["backend"] = backend.metrics.to_dict()
         with open(args.metrics_out, "w") as handle:
             json.dump(payload, handle)
-    if args.trace:
-        from repro.cli import _dump_trace
-
-        _dump_trace(args.trace, tracer)
+    _dump_trace(args.trace, tracer)
     return 0
 
 

@@ -71,6 +71,11 @@ __all__ = [
 #: public vocabulary: clients should treat it as "retry elsewhere").
 ERROR_INTERNAL = "internal_error"
 
+#: Longest request line a connection may send (the StreamReader limit,
+#: asyncio's 64 KiB default made explicit); a longer line is answered
+#: with ``bad_request`` and ends the connection.
+MAX_LINE_BYTES = 2 ** 16
+
 
 @dataclass(frozen=True)
 class FrontendConfig:
@@ -109,12 +114,13 @@ class FrontendConfig:
 
 
 class ServiceBackend:
-    """One :class:`AdmissionService` as a frontend backend."""
+    """One :class:`AdmissionService` as an admission backend (behind
+    the frontend, or ``repro serve``'s stdin loop)."""
 
     kind = "service"
 
     def __init__(self, service: AdmissionService) -> None:
-        self._service = service
+        self.service = service
 
     @property
     def shard_count(self) -> int:
@@ -122,25 +128,28 @@ class ServiceBackend:
 
     def epoch(self):
         """The store version — bumped by every CAS publish."""
-        return self._service.store.version
+        return self.service.store.version
 
     def submit_many(
         self, requests: Sequence[AdmissionRequest]
     ) -> List[Decision]:
-        return self._service.submit_many(requests)
+        return self.service.submit_many(requests)
 
     @property
     def metrics(self) -> MetricsRegistry:
-        return self._service.metrics
+        return self.service.metrics
+
+    def close(self) -> None:
+        """Nothing to release: the service owns no threads."""
 
 
 class ClusterBackend:
-    """A sharded :class:`ClusterCoordinator` as a frontend backend."""
+    """A sharded :class:`ClusterCoordinator` as an admission backend."""
 
     kind = "cluster"
 
     def __init__(self, coordinator) -> None:
-        self._coordinator = coordinator
+        self.coordinator = coordinator
         self._shard_names = tuple(sorted(coordinator.shard_names()))
         self._stores = tuple(
             coordinator.shard_store(name) for name in self._shard_names
@@ -158,11 +167,15 @@ class ClusterBackend:
     def submit_many(
         self, requests: Sequence[AdmissionRequest]
     ) -> List[Decision]:
-        return self._coordinator.submit_many(requests)
+        return self.coordinator.submit_many(requests)
 
     @property
     def metrics(self) -> MetricsRegistry:
-        return self._coordinator.metrics
+        return self.coordinator.metrics
+
+    def close(self) -> None:
+        """Stop the coordinator's shard worker pool."""
+        self.coordinator.shutdown()
 
 
 @dataclass
@@ -220,7 +233,8 @@ class Frontend:
         self._queue = asyncio.Queue(maxsize=self._config.max_queue)
         self._dispatcher = asyncio.create_task(self._dispatch_loop())
         self._server = await asyncio.start_server(
-            self._handle_connection, self._config.host, self._config.port
+            self._handle_connection, self._config.host, self._config.port,
+            limit=MAX_LINE_BYTES,
         )
 
     @property
@@ -315,10 +329,23 @@ class Frontend:
         writer_task = asyncio.create_task(self._writer_loop(pending, writer))
         try:
             while True:
-                line = await reader.readline()
+                future = self._loop.create_future()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # past the limit the stream has lost its framing:
+                    # answer the oversized line, flush what is owed
+                    # (finally, below) and close
+                    await pending.put(future)
+                    self._metrics.counter("frontend.requests_total").inc()
+                    self._reject_bad_request(
+                        future,
+                        f"request line exceeds {MAX_LINE_BYTES} bytes",
+                        self._loop.time(),
+                    )
+                    break
                 if not line:
                     break
-                future = self._loop.create_future()
                 await pending.put(future)
                 self._ingest(line, future)
         except (asyncio.CancelledError, ConnectionResetError):
@@ -367,14 +394,7 @@ class Frontend:
         try:
             request_id, request = protocol.decode_request(line)
         except ValueError as exc:
-            self._metrics.counter("frontend.rejected_bad_request").inc()
-            self._respond(
-                future,
-                protocol.encode_error(
-                    protocol.ERROR_BAD_REQUEST, detail=str(exc)
-                ),
-                started,
-            )
+            self._reject_bad_request(future, str(exc), started)
             return
         if self._draining:
             self._metrics.counter("frontend.rejected_shutdown").inc()
@@ -421,6 +441,16 @@ class Frontend:
             return
         self._metrics.gauge("frontend.queue.depth").set(
             self._queue.qsize()
+        )
+
+    def _reject_bad_request(
+        self, future: "asyncio.Future", detail: str, started: float
+    ) -> None:
+        self._metrics.counter("frontend.rejected_bad_request").inc()
+        self._respond(
+            future,
+            protocol.encode_error(protocol.ERROR_BAD_REQUEST, detail=detail),
+            started,
         )
 
     def _respond(

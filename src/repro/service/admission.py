@@ -33,9 +33,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.check.proof import CertificateError
 from repro.check.sanitizer import make_lock
@@ -189,12 +188,8 @@ class AdmissionService:
         self._tracer = tracer if tracer is not None else NULL_TRACER
         # Same contract for the structured event journal.
         self._events = events if events is not None else NULL_EVENT_LOG
-        self._queue: Deque[AdmissionRequest] = deque()
         self._request_spans: Dict[int, object] = {}
         self._write_lock = make_lock("AdmissionService._write_lock")
-        # Guards only the enqueue/drain staging queue; never held while
-        # solving, and always released before _write_lock is taken.
-        self._queue_lock = make_lock("AdmissionService._queue_lock")
         self._request_counter = 0
         self._batch_counter = 0
         self._last_deployment: Optional[Deployment] = None
@@ -295,25 +290,6 @@ class AdmissionService:
             attempts["screen"] = "no requests to solve"
             return None, attempts
         return self._climb_ladder(schedule, viable)
-
-    def enqueue(self, request: AdmissionRequest) -> None:
-        """Queue a request for the next :meth:`drain`."""
-        with self._queue_lock:
-            self._queue.append(request)
-            # the gauge update stays under the lock so concurrent
-            # enqueues cannot publish depths out of order
-            self._metrics.gauge("queue.depth").set(len(self._queue))
-
-    def drain(self) -> List[Decision]:
-        """Decide everything queued so far, in arrival order."""
-        with self._queue_lock:
-            pending = list(self._queue)
-            self._queue.clear()
-            # under the lock, as in enqueue: set after release, a
-            # concurrent enqueue's depth could be overwritten with 0
-            # while its request is still queued
-            self._metrics.gauge("queue.depth").set(0)
-        return self.submit_many(pending) if pending else []
 
     # -- batching ------------------------------------------------------
     def _coalesce(

@@ -1,4 +1,5 @@
-"""`repro cluster` CLI (in-process, via main())."""
+"""`repro cluster` and `repro serve --cluster` CLI (in-process, via
+main())."""
 
 import json
 
@@ -62,7 +63,7 @@ class TestClusterCli:
             {"op": "remove", "name": "a0"},
         ]))
         metrics_out = tmp_path / "metrics.json"
-        assert main(["cluster", "serve", *_cluster_args(topology_file),
+        assert main(["serve", "--cluster", *_cluster_args(topology_file),
                      "--requests", str(requests),
                      "--metrics-out", str(metrics_out),
                      "--audit", "--fail-on-reject"]) == 0
@@ -71,7 +72,7 @@ class TestClusterCli:
         assert all(d["accepted"] for d in decisions)
         assert json.loads(lines[-1]) == {"audit": "ok"}
         metrics = json.loads(metrics_out.read_text())
-        counters = metrics["metrics"]["counters"]
+        counters = metrics["counters"]
         assert counters["cluster.requests_total"] == 4
         assert counters["cluster.requests_cross"] == 1
 
@@ -82,7 +83,7 @@ class TestClusterCli:
              "destination": "D12", "min_interevent_ns": 16_000_000,
              "length_bytes": 512}
         ))
-        assert main(["cluster", "serve", *_cluster_args(topology_file),
+        assert main(["serve", "--cluster", *_cluster_args(topology_file),
                      "--requests", str(requests),
                      "--fail-on-reject"]) == 1
 
@@ -91,6 +92,29 @@ class TestClusterCli:
     ):
         requests = tmp_path / "requests.jsonl"
         requests.write_text('{"op": "admit-tct"}')
-        assert main(["cluster", "serve", *_cluster_args(topology_file),
+        assert main(["serve", "--cluster", *_cluster_args(topology_file),
                      "--requests", str(requests)]) == 2
         assert "requests line 1" in capsys.readouterr().err
+
+    def test_serve_metrics_file_reexports_as_prometheus(
+        self, topology_file, tmp_path, capsys
+    ):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps(
+            {"op": "admit-tct", "name": "a0", "source": "D1",
+             "destination": "D4", "period_ns": 8_000_000,
+             "length_bytes": 1000}
+        ))
+        metrics_out = tmp_path / "metrics.json"
+        assert main(["serve", "--cluster", *_cluster_args(topology_file),
+                     "--requests", str(requests),
+                     "--metrics-out", str(metrics_out)]) == 0
+        capsys.readouterr()
+        assert main(["metrics", "--input", str(metrics_out),
+                     "--format", "prometheus"]) == 0
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in capsys.readouterr().out.splitlines()
+            if line and not line.startswith("#")
+        )
+        assert float(samples["repro_cluster_requests_total_total"]) == 1

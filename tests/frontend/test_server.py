@@ -9,6 +9,7 @@ import pytest
 
 from repro.frontend import protocol
 from repro.frontend.server import (
+    MAX_LINE_BYTES,
     Frontend,
     FrontendConfig,
     FrontendThread,
@@ -244,6 +245,33 @@ class TestBadRequests:
             assert not error["ok"]
             assert error["error"] == protocol.ERROR_BAD_REQUEST
             assert "admit-warp" in error["detail"]
+        finally:
+            client.close()
+            thread.stop()
+
+    def test_oversized_line_is_answered_then_the_connection_closes(
+        self, service
+    ):
+        frontend, thread = _hosted(ServiceBackend(service))
+        client = _Client(thread.address)
+        try:
+            # past the line limit the stream has lost its framing: the
+            # request before it still decides, the oversized line gets a
+            # bad_request naming the limit, and the server hangs up
+            client.send(_tct("small1"), "before")
+            client.send_raw(b'{"op": "admit-tct", "name": "'
+                            + b"x" * MAX_LINE_BYTES + b'"}\n')
+            client.send(_tct("small2"), "after")
+            decided = client.recv()
+            assert decided["id"] == "before" and decided["ok"]
+            error = client.recv()
+            assert not error["ok"]
+            assert error["error"] == protocol.ERROR_BAD_REQUEST
+            assert str(MAX_LINE_BYTES) in error["detail"]
+            assert client.recv_eof()
+            assert frontend.metrics.counter(
+                "frontend.rejected_bad_request"
+            ).value == 1
         finally:
             client.close()
             thread.stop()

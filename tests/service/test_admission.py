@@ -2,7 +2,6 @@
 500-request storm acceptance criterion."""
 
 import random
-import threading
 import time
 
 import pytest
@@ -25,7 +24,6 @@ from repro.service import (
     ServiceConfig,
     empty_schedule,
 )
-from repro.service.metrics import Gauge
 from tests.conftest import MTU_WIRE_NS
 
 
@@ -210,83 +208,6 @@ class TestBatching:
         assert verdicts == {"ok1": True, "hog": False, "ok2": True}
         assert service.metrics.counter("batches.splintered").value == 1
         validate(service.store.schedule)
-
-    def test_queue_and_drain(self, service):
-        service.enqueue(_tct("a"))
-        service.enqueue(_tct("b", src="D2"))
-        assert service.metrics.gauge("queue.depth").value == 2
-        decisions = service.drain()
-        assert [d.stream for d in decisions] == ["a", "b"]
-        assert service.metrics.gauge("queue.depth").value == 0
-        assert service.drain() == []
-
-    def test_concurrent_enqueue_loses_no_requests(self, service):
-        """Regression for the unlocked staging queue: many threads
-        enqueueing at once must neither drop a request nor leave the
-        depth gauge out of step (the queue is now guarded by its own
-        lock, found by the extended lock-discipline lint)."""
-        import threading
-
-        # 40 streams fit the star topology without saturating it —
-        # the race under test is in enqueue, not the solver ladder
-        threads_n, per_thread = 8, 5
-        barrier = threading.Barrier(threads_n)
-
-        def producer(worker):
-            barrier.wait()
-            for i in range(per_thread):
-                service.enqueue(
-                    _tct(f"w{worker}q{i}", period_ms=8 + 2 * (i % 3))
-                )
-
-        workers = [
-            threading.Thread(target=producer, args=(w,))
-            for w in range(threads_n)
-        ]
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join()
-        assert service.metrics.gauge("queue.depth").value == (
-            threads_n * per_thread
-        )
-        decisions = service.drain()
-        assert len(decisions) == threads_n * per_thread
-        assert service.metrics.gauge("queue.depth").value == 0
-
-    def test_drain_cannot_zero_a_concurrent_enqueue(
-        self, service, monkeypatch
-    ):
-        """drain resets the depth gauge under the queue lock: an enqueue
-        racing the reset must leave the gauge at its own depth, not 0."""
-        racer = threading.Thread(target=service.enqueue, args=(_tct("late"),))
-
-        class RacingGauge(Gauge):
-            """drain's ``set(0)`` lets ``racer`` enqueue before the
-            value is stored."""
-
-            def set(self, value):
-                if value == 0 and racer.ident is None:
-                    racer.start()
-                    # with the fix the racer blocks on the queue lock
-                    # until drain releases it; otherwise it slips in
-                    racer.join(timeout=0.2)
-                super().set(value)
-
-        depth = RacingGauge()
-        real_gauge = service.metrics.gauge
-        monkeypatch.setattr(
-            service.metrics, "gauge",
-            lambda name: depth if name == "queue.depth" else real_gauge(name),
-        )
-        service.enqueue(_tct("a"))
-        assert [d.stream for d in service.drain()] == ["a"]
-        racer.join(timeout=5)
-        assert not racer.is_alive()
-        # "late" is still queued, and the gauge says so
-        assert depth.value == 1
-        assert [d.stream for d in service.drain()] == ["late"]
-        assert depth.value == 0
 
 
 class TestTimeoutsAndRetries:

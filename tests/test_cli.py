@@ -295,3 +295,13 @@ class TestMetricsCommand:
         out = capsys.readouterr().out
         assert "repro_requests_total_total 3" in out
         assert "repro_store_version 2" in out
+
+    def test_input_without_a_registry_is_an_error(self, capsys, tmp_path):
+        # e.g. a cluster status() dump: the registry is nested, so a
+        # re-export would silently come out empty
+        saved = tmp_path / "status.json"
+        saved.write_text(json.dumps(
+            {"shards": {}, "metrics": {"counters": {"cluster.audits": 1}}}
+        ))
+        assert main(["metrics", "--input", str(saved)]) == 2
+        assert "no counters, gauges or histograms" in capsys.readouterr().err
