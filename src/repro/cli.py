@@ -575,6 +575,10 @@ def _run_serve(args) -> int:
               f"{'cannot be used with' if args.cluster else 'requires'} "
               f"--cluster", file=sys.stderr)
         return 2
+    if args.max_batch < 1:
+        print(f"error: --max-batch must be at least 1, got "
+              f"{args.max_batch}", file=sys.stderr)
+        return 2
     _check_certify(args)
     tracer = _make_tracer(args.trace)
     events = _make_event_log(args.events)
@@ -615,6 +619,9 @@ def _run_serve(args) -> int:
             backend.coordinator.audit()  # raises GclAuditError
             print(json.dumps({"audit": "ok"}))
         metrics = metrics_to_dict(backend.metrics)
+        if args.cluster:
+            # the shards' per-rung latency, which `repro slo` reads
+            metrics["histograms"] = backend.coordinator.merged_histograms()
         if args.metrics_out:
             with open(args.metrics_out, "w") as out:
                 json.dump(metrics, out)

@@ -220,6 +220,25 @@ class ClusterCoordinator:
             namespace=namespace,
         )
 
+    def merged_histograms(self) -> Dict[str, Dict]:
+        """Every histogram of the coordinator and shard registries,
+        merged by name into one cluster-wide summary each.
+
+        The :meth:`MetricsRegistry.to_dict` ``histograms`` shape, so a
+        ``cluster.*`` registry export carrying it feeds ``repro slo``
+        (per-rung latency lives in the shard registries); the per-shard
+        split stays in :meth:`prometheus`.
+        """
+        merged = MetricsRegistry()
+        registries = [self._metrics] + [
+            self._runtimes[name].store.metrics
+            for name in sorted(self._runtimes)
+        ]
+        for registry in registries:
+            for name, summary in registry.to_dict()["histograms"].items():
+                merged.restore_histogram(name, summary)
+        return merged.to_dict()["histograms"]
+
     def shard_service(self, name: str) -> AdmissionService:
         return self._runtime(name).service
 

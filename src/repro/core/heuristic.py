@@ -21,6 +21,7 @@ the same independent validator — only the search differs:
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import build_frames, window_max_ns
@@ -48,26 +49,47 @@ class _PlacementFailure(Exception):
 
 
 class _Occupancy:
-    """Placed slots per link, for conflict queries during the search."""
+    """Placed slots per link, for conflict queries during the search.
 
-    def __init__(self, streams_by_name: Dict[str, Stream]) -> None:
+    ``by_link`` seeds it with a schedule's link index
+    (:meth:`NetworkSchedule.link_index`).  Those lists are shared, never
+    mutated: :meth:`add` copies a link's list the first time it appends
+    to it, so :attr:`by_link` can become the next schedule's index.
+    """
+
+    def __init__(
+        self,
+        streams_by_name: Dict[str, Stream],
+        by_link: Optional[Dict[Tuple[str, str], List[FrameSlot]]] = None,
+    ) -> None:
         self._streams = streams_by_name
-        self._by_link: Dict[Tuple[str, str], List[FrameSlot]] = {}
+        self.by_link: Dict[Tuple[str, str], List[FrameSlot]] = dict(
+            by_link or {}
+        )
+        self._shared = set(self.by_link)
         # may_overlap() is pure in the stream pair; the fit loop asks the
         # same pairs thousands of times, so memoize by name pair
         self._exempt: Dict[Tuple[str, str], bool] = {}
 
     def add(self, slot: FrameSlot) -> None:
-        self._by_link.setdefault(slot.link, []).append(slot)
-
-    def remove_stream(self, stream_name: str) -> None:
-        for slots in self._by_link.values():
-            slots[:] = [s for s in slots if s.stream != stream_name]
+        key = slot.link
+        if key in self._shared:
+            self._shared.discard(key)
+            self.by_link[key] = self.by_link[key] + [slot]
+        else:
+            self.by_link.setdefault(key, []).append(slot)
 
     def earliest_fit(
         self, stream: Stream, frame: FrameVar, lower_bound_ns: int, tu_ns: int
     ) -> int:
-        """Earliest conflict-free offset >= lower bound, or raise."""
+        """Earliest conflict-free offset >= lower bound, or raise.
+
+        The slots the frame may not overlap are swept round-robin until
+        one whole lap leaves the offset unchanged.  Each shift moves the
+        offset only past offsets that collide with that slot, so the
+        offset never passes the least conflict-free one and any visiting
+        order reaches the same answer.
+        """
         window_max = window_max_ns(stream, frame)
         phi = ceil_to_multiple(max(lower_bound_ns, 0), tu_ns)
         if phi > window_max:
@@ -76,44 +98,51 @@ class _Occupancy:
                 f"frame {frame.index} lower bound {lower_bound_ns} beyond "
                 f"window max {window_max} on {frame.link}",
             )
-        others = self._by_link.get(frame.link, ())
-        # Each pass either accepts phi or pushes it strictly later; the
-        # bound is generous because clearing one pattern can re-enter
-        # another's forbidden residue a few times before escaping.
-        guard = max(1024, 32 * (len(others) + 2))
+        others = self.by_link.get(frame.link, ())
         exempt = self._exempt
-        for _ in range(guard):
-            shifted = False
-            for slot in others:
-                pair = (stream.name, slot.stream)
-                exempted = exempt.get(pair)
-                if exempted is None:
-                    exempted = may_overlap(stream, self._streams[slot.stream])
-                    exempt[pair] = exempted
-                if exempted:
-                    continue
-                try:
-                    shift = earliest_gap_shift(
-                        phi, frame.duration_ns, frame.period_ns,
-                        slot.offset_ns, slot.duration_ns, slot.period_ns,
-                    )
-                except ScheduleError as exc:
-                    raise _PlacementFailure(stream.name, str(exc)) from exc
-                if shift:
-                    phi += shift
-                    if phi > window_max:
-                        raise _PlacementFailure(
-                            stream.name,
-                            f"frame {frame.index} pushed past window max "
-                            f"{window_max} on {frame.link}",
-                        )
-                    shifted = True
-                    break
-            if not shifted:
-                return phi
-        raise _PlacementFailure(
-            stream.name, f"no fixpoint for frame {frame.index} on {frame.link}"
-        )
+        blocking = []
+        for slot in others:
+            pair = (stream.name, slot.stream)
+            exempted = exempt.get(pair)
+            if exempted is None:
+                exempted = may_overlap(stream, self._streams[slot.stream])
+                exempt[pair] = exempted
+            if not exempted:
+                blocking.append(slot)
+        # Clearing one pattern can re-enter another's forbidden residue a
+        # few times before escaping; the bound on shifts is generous.
+        guard = max(1024, 32 * (len(others) + 2))
+        duration, period = frame.duration_ns, frame.period_ns
+        clean = shifts = 0
+        for slot in itertools.cycle(blocking):
+            if clean == len(blocking):
+                break
+            try:
+                shift = earliest_gap_shift(
+                    phi, duration, period,
+                    slot.offset_ns, slot.duration_ns, slot.period_ns,
+                )
+            except ScheduleError as exc:
+                raise _PlacementFailure(stream.name, str(exc)) from exc
+            if not shift:
+                clean += 1
+                continue
+            phi += shift
+            if phi > window_max:
+                raise _PlacementFailure(
+                    stream.name,
+                    f"frame {frame.index} pushed past window max "
+                    f"{window_max} on {frame.link}",
+                )
+            shifts += 1
+            if shifts > guard:
+                raise _PlacementFailure(
+                    stream.name,
+                    f"no fixpoint for frame {frame.index} on {frame.link}",
+                )
+            # the slot just cleared is clean at the new offset
+            clean = 1
+        return phi
 
 
 def _try_place(

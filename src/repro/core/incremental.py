@@ -14,51 +14,112 @@ without moving any already-granted slot:
   extras, and appending extras on one link shifts the adjacent-link
   pairing (paper Fig. 8) — so exactly those streams are *re-placed*;
   every other stream's slots are frozen.
-* :func:`remove_stream` — retire a stream and release its slots (and,
-  for an ECT stream, the extras it induced, recomputed for the remaining
-  set).
+* :func:`remove_stream` — retire a stream and release its slots (for an
+  ECT stream, all its possibilities; the extras it induced stay).
 
-Every operation returns a **new** schedule object and re-validates it;
-admission failure raises :class:`InfeasibleError` and leaves the input
-schedule untouched (admission control semantics).
+Every operation returns a **new** schedule object and leaves the input
+untouched; admission failure raises :class:`InfeasibleError` (admission
+control semantics).  With ``validate_result`` (the default) the result
+passes the full :func:`validate`; the fast path turns that off and runs
+:func:`repro.core.schedule.validate_delta` over the changed streams.
+
+The cost of one operation follows the change, not the network.  The
+result shares every untouched slot list with its input, and it inherits
+the input's per-link index (:meth:`NetworkSchedule.link_index`) with only
+the links of the added or removed streams rebuilt.  Placement reads that
+index instead of re-collecting every slot per link.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.constraints import build_frames
 from repro.core.heuristic import _Occupancy, _place_stream, _PlacementFailure
 from repro.core.probabilistic import expand_ect
-from repro.core.reservation import prudent_reservation
+from repro.core.reservation import ReservationPlan, prudent_reservation
 from repro.core.schedule import InfeasibleError, NetworkSchedule, validate
 from repro.model.frame import FrameSlot
 from repro.model.stream import EctStream, Priorities, Stream, StreamType
 
 
-def _occupancy_of(schedule: NetworkSchedule) -> _Occupancy:
+LinkIndex = Dict[Tuple[str, str], List[FrameSlot]]
+
+
+def _occupancy_of(
+    schedule: NetworkSchedule,
+    new_streams: Sequence[Stream] = (),
+    index: Optional[LinkIndex] = None,
+) -> _Occupancy:
+    """Occupancy over ``index`` (default: the schedule's link index).
+
+    The index's lists are shared until the occupancy first appends to a
+    link, so the occupancy's ``by_link`` can become the index of the
+    schedule the admission derives.
+    """
     streams_by_name = {s.name: s for s in schedule.streams}
-    occupancy = _Occupancy(streams_by_name)
-    for slots in schedule.slots.values():
-        for slot in slots:
-            occupancy.add(slot)
-    return occupancy
+    streams_by_name.update((s.name, s) for s in new_streams)
+    if index is None:
+        index = schedule.link_index()
+    return _Occupancy(streams_by_name, index)
+
+
+def _without(index: LinkIndex, victims: Sequence[Stream]) -> LinkIndex:
+    """``index`` minus the victims' slots; only their links are rebuilt."""
+    names = {s.name for s in victims}
+    result = dict(index)
+    for key in {link.key for s in victims for link in s.path}:
+        kept = [s for s in result.get(key, ()) if s.stream not in names]
+        if kept:
+            result[key] = kept
+        else:
+            result.pop(key, None)
+    return result
 
 
 def _clone(schedule: NetworkSchedule) -> NetworkSchedule:
+    # slot lists are shared, not copied: a built schedule is never
+    # mutated, and the primitives below only add or drop whole keys
     return NetworkSchedule(
         topology=schedule.topology,
         streams=list(schedule.streams),
-        slots={key: list(slots) for key, slots in schedule.slots.items()},
+        slots=dict(schedule.slots),
         ect_streams=list(schedule.ect_streams),
         meta=dict(schedule.meta),
     )
 
 
-def _register(occupancy: _Occupancy, new_streams: Sequence[Stream]) -> None:
-    for stream in new_streams:
-        occupancy._streams[stream.name] = stream  # noqa: SLF001 - same package
+def _admit_det(
+    schedule: NetworkSchedule,
+    stream: Stream,
+    plan: ReservationPlan,
+    guard_margin_ns: int,
+    validate_result: bool,
+) -> NetworkSchedule:
+    """Place one deterministic stream earliest-fit around the frozen
+    schedule and return the schedule with it added."""
+    Priorities.check(stream)
+    if any(s.name == stream.name for s in schedule.streams):
+        raise ValueError(f"stream {stream.name!r} already scheduled")
+    frames = build_frames([stream], plan, guard_margin_ns)
+    occupancy = _occupancy_of(schedule, [stream])
+    try:
+        placed = _place_stream(stream, frames, occupancy)
+    except _PlacementFailure as exc:
+        raise InfeasibleError(f"cannot admit {stream.name}: {exc}") from exc
+
+    result = _clone(schedule)
+    result.streams.append(stream)
+    for slot in placed:
+        occupancy.add(slot)
+        result.slots.setdefault((slot.stream, slot.link), []).append(slot)
+    result._link_index = occupancy.by_link  # noqa: SLF001 - same package
+    result.meta["incremental_additions"] = (
+        schedule.meta.get("incremental_additions", 0) + 1
+    )
+    if validate_result:
+        validate(result)
+    return result
 
 
 def affected_sharing_streams(
@@ -99,31 +160,10 @@ def add_tct_stream(
             f"re-shape existing ECT reservations; re-run the offline "
             f"scheduler for that"
         )
-    Priorities.check(stream)
-    if any(s.name == stream.name for s in schedule.streams):
-        raise ValueError(f"stream {stream.name!r} already scheduled")
-
-    plan = prudent_reservation([stream])
-    frames = build_frames([stream], plan, guard_margin_ns)
-    occupancy = _occupancy_of(schedule)
-    _register(occupancy, [stream])
-    try:
-        placed = _place_stream(stream, frames, occupancy)
-    except _PlacementFailure as exc:
-        raise InfeasibleError(f"cannot admit {stream.name}: {exc}") from exc
-
-    result = _clone(schedule)
-    result.streams.append(stream)
-    for slot in placed:
-        result.slots.setdefault((slot.stream, slot.link), []).append(slot)
-    for key in [(stream.name, link.key) for link in stream.path]:
-        result.slots[key].sort(key=lambda s: s.index)
-    result.meta["incremental_additions"] = (
-        schedule.meta.get("incremental_additions", 0) + 1
+    return _admit_det(
+        schedule, stream, prudent_reservation([stream]), guard_margin_ns,
+        validate_result,
     )
-    if validate_result:
-        validate(result)
-    return result
 
 
 def add_shared_tct_stream(
@@ -141,7 +181,7 @@ def add_shared_tct_stream(
     adds only *its own* extra slots; every existing stream's slot list
     (extras included) is unchanged.  That makes online admission sound:
     freeze everything, compute the candidate's reservation against the
-    full population, and place its base+extra frames earliest-fit.
+    ECT possibilities, and place its base+extra frames earliest-fit.
 
     The blanket refusal in :func:`add_tct_stream` predates this
     analysis and is kept there so the ladder's full re-solve rung still
@@ -153,36 +193,15 @@ def add_shared_tct_stream(
         return add_tct_stream(
             schedule, stream, guard_margin_ns, validate_result
         )
-    Priorities.check(stream)
-    if any(s.name == stream.name for s in schedule.streams):
-        raise ValueError(f"stream {stream.name!r} already scheduled")
-
-    # the candidate's extras depend on the ECT possibilities sharing its
-    # links, so the plan must see the whole population — but only the
-    # candidate's rows of the plan are used
+    # the candidate's extras depend only on the ECT possibilities sharing
+    # its links (Alg. 1), so the plan over those plus the candidate gives
+    # the candidate exactly the rows a plan over the whole population would
     plan = prudent_reservation(
-        list(schedule.streams) + [stream], mode=reservation_mode
+        schedule.probabilistic_streams() + [stream], mode=reservation_mode
     )
-    frames = build_frames([stream], plan, guard_margin_ns)
-    occupancy = _occupancy_of(schedule)
-    _register(occupancy, [stream])
-    try:
-        placed = _place_stream(stream, frames, occupancy)
-    except _PlacementFailure as exc:
-        raise InfeasibleError(f"cannot admit {stream.name}: {exc}") from exc
-
-    result = _clone(schedule)
-    result.streams.append(stream)
-    for slot in placed:
-        result.slots.setdefault((slot.stream, slot.link), []).append(slot)
-    for key in [(stream.name, link.key) for link in stream.path]:
-        result.slots[key].sort(key=lambda s: s.index)
-    result.meta["incremental_additions"] = (
-        schedule.meta.get("incremental_additions", 0) + 1
+    return _admit_det(
+        schedule, stream, plan, guard_margin_ns, validate_result
     )
-    if validate_result:
-        validate(result)
-    return result
 
 
 def add_ect_stream(
@@ -202,24 +221,25 @@ def add_ect_stream(
     if any(e.name == ect.name for e in schedule.ect_streams):
         raise ValueError(f"ECT stream {ect.name!r} already scheduled")
     possibilities = expand_ect(ect, schedule.topology)
-
-    old_streams = list(schedule.streams)
-    new_streams = old_streams + possibilities
-    plan_after = prudent_reservation(new_streams, mode=reservation_mode)
-
     affected = affected_sharing_streams(schedule, ect)
-    affected_names = {s.name for s in affected}
+    # only the affected streams' and the possibilities' plan rows are
+    # used, and those depend on nothing but the probabilistic streams
+    # and the row's own stream (Alg. 1)
+    plan_after = prudent_reservation(
+        schedule.probabilistic_streams() + possibilities + affected,
+        mode=reservation_mode,
+    )
 
     result = _clone(schedule)
     result.streams.extend(possibilities)
     result.ect_streams.append(ect)
     # drop the affected streams' slots; they are re-placed below
-    result.slots = {
-        key: slots for key, slots in result.slots.items()
-        if key[0] not in affected_names
-    }
-    occupancy = _occupancy_of(result)
-    _register(occupancy, possibilities)
+    for stream in affected:
+        for link in stream.path:
+            result.slots.pop((stream.name, link.key), None)
+    occupancy = _occupancy_of(
+        result, index=_without(schedule.link_index(), affected)
+    )
 
     try:
         frames = build_frames(
@@ -228,15 +248,13 @@ def add_ect_stream(
         # re-place the sharing streams first (tighter), then the
         # possibilities (they may overlap the sharing streams anyway)
         for stream in affected + possibilities:
-            placed = _place_stream(stream, frames, occupancy)
-            for slot in placed:
+            for slot in _place_stream(stream, frames, occupancy):
                 occupancy.add(slot)
                 result.slots.setdefault((slot.stream, slot.link), []).append(slot)
-            for link in stream.path:
-                result.slots[(stream.name, link.key)].sort(key=lambda s: s.index)
     except _PlacementFailure as exc:
         raise InfeasibleError(f"cannot admit {ect.name}: {exc}") from exc
 
+    result._link_index = occupancy.by_link  # noqa: SLF001 - same package
     result.meta["incremental_additions"] = (
         schedule.meta.get("incremental_additions", 0) + 1
     )
@@ -254,20 +272,26 @@ def remove_stream(
     in place (they are still valid, just more generous than needed); a
     periodic offline re-run reclaims them.
     """
+    ect = next((e for e in schedule.ect_streams if e.name == name), None)
+    if ect is not None:
+        victims = [s for s in schedule.streams
+                   if s.type == StreamType.PROB and s.parent == name]
+    else:
+        victims = [s for s in schedule.streams if s.name == name]
+        if not victims:
+            raise KeyError(f"no stream named {name!r}")
+    names = {s.name for s in victims}
     result = _clone(schedule)
-    ect = next((e for e in result.ect_streams if e.name == name), None)
     if ect is not None:
         result.ect_streams = [e for e in result.ect_streams if e.name != name]
-        victims = {s.name for s in result.streams
-                   if s.type == StreamType.PROB and s.parent == name}
-    else:
-        if not any(s.name == name for s in result.streams):
-            raise KeyError(f"no stream named {name!r}")
-        victims = {name}
-    result.streams = [s for s in result.streams if s.name not in victims]
-    result.slots = {
-        key: slots for key, slots in result.slots.items() if key[0] not in victims
-    }
+    result.streams = [s for s in result.streams if s.name not in names]
+    for stream in victims:
+        for link in stream.path:
+            result.slots.pop((stream.name, link.key), None)
+    index = schedule._link_index  # noqa: SLF001 - same package
+    if index is not None:
+        # derive from the victims' paths; an unbuilt index stays lazy
+        result._link_index = _without(index, victims)  # noqa: SLF001
     if validate_result:
         validate(result)
     return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.model.frame import FrameSlot
 from repro.model.stream import EctStream, Stream, StreamType, may_overlap
@@ -54,6 +54,11 @@ class NetworkSchedule:
     ect_streams
         The original ECT specifications, kept for the simulator's event
         sources and for GCL synthesis.
+
+    A schedule is treated as immutable once built: the incremental
+    primitives (:mod:`repro.core.incremental`) share slot lists and the
+    per-link index (:meth:`link_index`) between a schedule and the ones
+    derived from it.
     """
 
     topology: Topology
@@ -61,6 +66,9 @@ class NetworkSchedule:
     slots: Dict[Tuple[str, Tuple[str, str]], List[FrameSlot]]
     ect_streams: List[EctStream] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
+    _link_index: Optional[Dict[Tuple[str, str], List[FrameSlot]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     def stream(self, name: str) -> Stream:
@@ -72,13 +80,30 @@ class NetworkSchedule:
     def stream_slots(self, stream_name: str, link_key: Tuple[str, str]) -> List[FrameSlot]:
         return self.slots[(stream_name, link_key)]
 
+    def link_index(self) -> Dict[Tuple[str, str], List[FrameSlot]]:
+        """``link key -> every slot on that link``, derived from ``slots``.
+
+        Built on first use and kept; the incremental primitives hand it
+        on to the schedules they derive, rebuilding only the links of the
+        stream they add or remove.  Neither the dict nor its lists may be
+        mutated.  :func:`validate` and :func:`validate_delta` never read
+        it, so a stale index fails delta validation instead of passing a
+        bad schedule.
+        """
+        if self._link_index is None:
+            index: Dict[Tuple[str, str], List[FrameSlot]] = {}
+            for (_, key), frames in self.slots.items():
+                if frames:
+                    index.setdefault(key, []).extend(frames)
+            self._link_index = index
+        return self._link_index
+
     def link_slots(self, link_key: Tuple[str, str]) -> List[FrameSlot]:
         """All slots on one directed link, sorted by offset."""
-        result: List[FrameSlot] = []
-        for (_, key), frames in self.slots.items():
-            if key == link_key:
-                result.extend(frames)
-        return sorted(result, key=lambda f: (f.offset_ns, f.stream, f.index))
+        return sorted(
+            self.link_index().get(link_key, ()),
+            key=lambda f: (f.offset_ns, f.stream, f.index),
+        )
 
     @property
     def hyperperiod_ns(self) -> int:
@@ -269,32 +294,48 @@ def validate_delta(schedule: NetworkSchedule, changed_names) -> None:
 
 
 def _validate_overlap_delta(schedule: NetworkSchedule, changed) -> None:
-    """Eq. 5 restricted to pairs with at least one changed stream."""
+    """Eq. 5 restricted to pairs with at least one changed stream.
+
+    One pass over the slot table gathers the slots of the links the
+    changed streams cross; each changed slot is then checked against
+    every other slot on its link, and unchanged pairs are never visited.
+    """
     streams = {s.name: s for s in schedule.streams}
-    links_of_changed = set()
-    for name in changed:
-        for link in streams[name].path:
-            links_of_changed.add(link.key)
-    for key in links_of_changed:
-        frames = schedule.link_slots(key)
-        for i in range(len(frames)):
-            for j in range(i + 1, len(frames)):
-                a, b = frames[i], frames[j]
-                if a.stream not in changed and b.stream not in changed:
+    by_link: Dict[Tuple[str, str], List[FrameSlot]] = {
+        link.key: [] for name in changed for link in streams[name].path
+    }
+    for (_, key), frames in schedule.slots.items():
+        bucket = by_link.get(key)
+        if bucket is not None:
+            bucket.extend(frames)
+    exempt: Dict[Tuple[str, str], bool] = {}
+    for key, frames in by_link.items():
+        for i, a in enumerate(frames):
+            if a.stream not in changed:
+                continue
+            for j, b in enumerate(frames):
+                # a changed-vs-changed pair is checked from its first slot
+                if b.stream == a.stream or (j < i and b.stream in changed):
                     continue
-                sa, sb = streams[a.stream], streams[b.stream]
-                if sa.name == sb.name:
-                    continue  # covered by sequencing + window checks
-                if may_overlap(sa, sb):
-                    continue
-                if periodic_overlap(
-                    a.offset_ns, a.duration_ns, a.period_ns,
-                    b.offset_ns, b.duration_ns, b.period_ns,
-                ):
-                    raise ScheduleError(
-                        f"link <{key[0]},{key[1]}>: {a.stream}[{a.index}] and "
-                        f"{b.stream}[{b.index}] overlap but are not allowed to"
+                pair = (a.stream, b.stream)
+                if pair not in exempt:
+                    exempt[pair] = may_overlap(
+                        streams[a.stream], streams[b.stream]
                     )
+                if not exempt[pair]:
+                    _check_pair(key, a, b)
+
+
+def _check_pair(key: Tuple[str, str], a: FrameSlot, b: FrameSlot) -> None:
+    """Eq. 5 for two slots on link ``key`` that may not overlap."""
+    if periodic_overlap(
+        a.offset_ns, a.duration_ns, a.period_ns,
+        b.offset_ns, b.duration_ns, b.period_ns,
+    ):
+        raise ScheduleError(
+            f"link <{key[0]},{key[1]}>: {a.stream}[{a.index}] and "
+            f"{b.stream}[{b.index}] overlap but are not allowed to"
+        )
 
 
 def _validate_completeness(schedule: NetworkSchedule, streams=None) -> None:
@@ -372,19 +413,10 @@ def _validate_overlap(schedule: NetworkSchedule) -> None:
         for i in range(len(frames)):
             for j in range(i + 1, len(frames)):
                 a, b = frames[i], frames[j]
-                sa, sb = streams[a.stream], streams[b.stream]
-                if sa.name == sb.name:
+                if a.stream == b.stream:
                     continue  # covered by sequencing + window checks
-                if may_overlap(sa, sb):
-                    continue
-                if periodic_overlap(
-                    a.offset_ns, a.duration_ns, a.period_ns,
-                    b.offset_ns, b.duration_ns, b.period_ns,
-                ):
-                    raise ScheduleError(
-                        f"link <{key[0]},{key[1]}>: {a.stream}[{a.index}] and "
-                        f"{b.stream}[{b.index}] overlap but are not allowed to"
-                    )
+                if not may_overlap(streams[a.stream], streams[b.stream]):
+                    _check_pair(key, a, b)
 
 
 def _validate_adjacent_links(schedule: NetworkSchedule, streams=None) -> None:

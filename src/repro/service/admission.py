@@ -172,6 +172,11 @@ class AdmissionService:
                 "ServiceConfig.certify requires backend='smt' "
                 f"(got {self._config.backend!r})"
             )
+        if self._config.max_batch < 1:
+            raise ValueError(
+                f"ServiceConfig.max_batch must be >= 1, got "
+                f"{self._config.max_batch}"
+            )
         unknown = [
             r.name for r in self._config.rungs if r.name not in LADDER_RUNGS
         ]

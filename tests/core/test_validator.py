@@ -1,15 +1,18 @@
 """Validator tests: each constraint class must catch tampered schedules."""
 
 import dataclasses
+import random
 
 import pytest
 
 from repro.core.heuristic import schedule_heuristic
 from repro.core.schedule import (
+    NetworkSchedule,
     ScheduleError,
     earliest_gap_shift,
     periodic_overlap,
     validate,
+    validate_delta,
 )
 from repro.model.stream import EctStream, Priorities, Stream
 from repro.model.units import milliseconds
@@ -124,6 +127,116 @@ class TestTamperDetection:
         _shift_slot(schedule, "t", ("D1", "SW1"), 0, 500)  # not a tu multiple
         with pytest.raises(ScheduleError):
             validate(schedule)
+
+
+class TestDeltaValidation:
+    """``validate_delta`` over the streams whose slots changed decides
+    exactly what ``validate`` decides, when every other slot comes from
+    a schedule that validated."""
+
+    @staticmethod
+    def _base(topo):
+        def tct(name, src, dst, share, length=900):
+            return Stream(
+                name=name, path=tuple(topo.shortest_path(src, dst)),
+                e2e_ns=milliseconds(4),
+                priority=Priorities.SH_PL if share else Priorities.NSH_PL,
+                length_bytes=length, period_ns=milliseconds(4), share=share,
+            )
+
+        return schedule_heuristic(topo, [
+            tct("a", "D1", "D4", True), tct("b", "D2", "D3", False),
+            tct("c", "D1", "D3", False, 3000), tct("d", "D2", "D4", True),
+        ], [EctStream("e", "D2", "D4", min_interevent_ns=milliseconds(8),
+                      length_bytes=800, possibilities=4)])
+
+    @staticmethod
+    def _tamper(rng, slots, stream):
+        """Move one slot anywhere in its period, or shift the whole
+        stream by a few microseconds (its own constraints then mostly
+        hold, so Eq. 5 alone decides)."""
+        tu = stream.path[0].time_unit_ns
+        if rng.random() < 0.5:
+            key = (stream.name, rng.choice(stream.path).key)
+            frames = list(slots[key])
+            index = rng.randrange(len(frames))
+            frames[index] = dataclasses.replace(
+                frames[index],
+                offset_ns=tu * rng.randrange(stream.period_ns // tu),
+            )
+            slots[key] = frames
+            return
+        delta = 1000 * rng.randrange(-30, 31)
+        for link in stream.path:
+            key = (stream.name, link.key)
+            slots[key] = [
+                dataclasses.replace(f, offset_ns=max(f.offset_ns + delta, 0))
+                for f in slots[key]
+            ]
+
+    def test_matches_full_validation_on_tampered_slots(
+        self, two_switch_topology
+    ):
+        base = self._base(two_switch_topology)
+        validate(base)
+        rng = random.Random(7)
+        verdicts = set()
+        for _ in range(400):
+            slots = dict(base.slots)
+            changed = rng.sample([s.name for s in base.streams],
+                                 rng.choice((1, 2)))
+            # the second changed stream keeps its slots half the time:
+            # a changed stream need not have moved
+            for name in changed[:rng.choice((1, len(changed)))]:
+                self._tamper(rng, slots, base.stream(name))
+            tampered = NetworkSchedule(
+                topology=base.topology, streams=base.streams, slots=slots,
+                ect_streams=base.ect_streams,
+            )
+            outcomes = []
+            for check in (lambda: validate(tampered),
+                          lambda: validate_delta(tampered, changed)):
+                try:
+                    check()
+                    outcomes.append(True)
+                except ScheduleError:
+                    outcomes.append(False)
+            assert outcomes[0] == outcomes[1], changed
+            verdicts.add(outcomes[0])
+        # both verdicts occurred, so the comparison had teeth
+        assert verdicts == {True, False}
+
+
+    def test_overlap_between_two_changed_streams(self, star_topology):
+        def tct(name, src):
+            return Stream(
+                name=name, path=tuple(star_topology.shortest_path(src, "D3")),
+                e2e_ns=milliseconds(8), priority=Priorities.NSH_PL,
+                length_bytes=900, period_ns=milliseconds(8),
+            )
+
+        base = schedule_heuristic(star_topology, [tct("x", "D1"),
+                                                  tct("y", "D2")])
+        shared = ("SW1", "D3")
+        gap = (base.slots[("y", shared)][0].offset_ns
+               - base.slots[("x", shared)][0].offset_ns)
+        # move the earlier stream whole onto the later one: its own
+        # constraints still hold, only the x/y pair overlaps
+        mover, delta = ("x", gap) if gap > 0 else ("y", -gap)
+        slots = dict(base.slots)
+        for link in base.stream(mover).path:
+            key = (mover, link.key)
+            slots[key] = [
+                dataclasses.replace(f, offset_ns=f.offset_ns + delta)
+                for f in slots[key]
+            ]
+        tampered = NetworkSchedule(
+            topology=base.topology, streams=base.streams, slots=slots,
+        )
+        with pytest.raises(ScheduleError, match="overlap"):
+            validate(tampered)
+        with pytest.raises(ScheduleError, match="overlap"):
+            validate_delta(tampered, {"x", "y"})
 
 
 class TestGapShift:

@@ -136,6 +136,14 @@ class TestLadder:
                 ScheduleStore(empty_schedule(star_topology)), config=config
             )
 
+    @pytest.mark.parametrize("max_batch", [0, -3])
+    def test_max_batch_below_one_fails_fast(self, star_topology, max_batch):
+        with pytest.raises(ValueError, match="max_batch must be >= 1"):
+            AdmissionService(
+                ScheduleStore(empty_schedule(star_topology)),
+                config=ServiceConfig(max_batch=max_batch),
+            )
+
 
 class TestScreening:
     def test_duplicate_name_rejected_without_solving(self, service):

@@ -169,3 +169,39 @@ class TestFlagScope:
         state.write_text("{}")
         assert main(["serve", "--state", str(state), "--cluster"]) == 2
         assert "--state" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend_flags", [[], CLUSTER_FLAGS],
+                             ids=["service", "cluster"])
+    @pytest.mark.parametrize("max_batch", ["0", "-1"])
+    def test_max_batch_below_one_exits_2(
+        self, topology_file, capsys, backend_flags, max_batch
+    ):
+        assert main(["serve", "--topology", str(topology_file),
+                     *backend_flags, "--requests", "-",
+                     "--max-batch", max_batch]) == 2
+        assert "--max-batch" in capsys.readouterr().err
+
+
+class TestClusterMetricsFile:
+    def test_slo_finds_the_shards_latency_histograms(
+        self, topology_file, tmp_path, capsys
+    ):
+        requests_file = _write_requests(tmp_path, [
+            _admit(f"m{i}", route) for i, route in enumerate(ROUTES)
+        ])
+        metrics_file = tmp_path / "metrics.json"
+        assert main(["serve", "--topology", str(topology_file),
+                     *CLUSTER_FLAGS, "--requests", str(requests_file),
+                     "--metrics-out", str(metrics_file)]) == 0
+        data = json.loads(metrics_file.read_text())
+        # the registry shape `repro metrics --input` reads, cluster.* kept
+        assert data["counters"]["cluster.requests_total"] == len(ROUTES)
+        assert data["histograms"]["cluster.latency.cross_ms"]["count"]
+        # merged over both shards: every shard-local admit at least
+        local = len(ROUTES) - 1
+        assert data["histograms"]["latency.decision_ms"]["count"] >= local
+        capsys.readouterr()
+        assert main(["slo", "--metrics", str(metrics_file),
+                     "--require-all"]) == 0
+        assert main(["metrics", "--input", str(metrics_file),
+                     "--format", "prometheus"]) == 0
