@@ -32,7 +32,7 @@ index instead of re-collecting every slot per link.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.constraints import build_frames
 from repro.core.heuristic import _Occupancy, _place_stream, _PlacementFailure
@@ -44,24 +44,6 @@ from repro.model.stream import EctStream, Priorities, Stream, StreamType
 
 
 LinkIndex = Dict[Tuple[str, str], List[FrameSlot]]
-
-
-def _occupancy_of(
-    schedule: NetworkSchedule,
-    new_streams: Sequence[Stream] = (),
-    index: Optional[LinkIndex] = None,
-) -> _Occupancy:
-    """Occupancy over ``index`` (default: the schedule's link index).
-
-    The index's lists are shared until the occupancy first appends to a
-    link, so the occupancy's ``by_link`` can become the index of the
-    schedule the admission derives.
-    """
-    streams_by_name = {s.name: s for s in schedule.streams}
-    streams_by_name.update((s.name, s) for s in new_streams)
-    if index is None:
-        index = schedule.link_index()
-    return _Occupancy(streams_by_name, index)
 
 
 def _without(index: LinkIndex, victims: Sequence[Stream]) -> LinkIndex:
@@ -102,7 +84,11 @@ def _admit_det(
     if any(s.name == stream.name for s in schedule.streams):
         raise ValueError(f"stream {stream.name!r} already scheduled")
     frames = build_frames([stream], plan, guard_margin_ns)
-    occupancy = _occupancy_of(schedule, [stream])
+    # the occupancy copies a link's list on its first append, so its
+    # by_link becomes the result's index
+    streams_by_name = {s.name: s for s in schedule.streams}
+    streams_by_name[stream.name] = stream
+    occupancy = _Occupancy(streams_by_name, schedule.link_index())
     try:
         placed = _place_stream(stream, frames, occupancy)
     except _PlacementFailure as exc:
@@ -113,7 +99,7 @@ def _admit_det(
     for slot in placed:
         occupancy.add(slot)
         result.slots.setdefault((slot.stream, slot.link), []).append(slot)
-    result._link_index = occupancy.by_link  # noqa: SLF001 - same package
+    result.carry_link_index(occupancy.by_link)
     result.meta["incremental_additions"] = (
         schedule.meta.get("incremental_additions", 0) + 1
     )
@@ -221,6 +207,12 @@ def add_ect_stream(
     if any(e.name == ect.name for e in schedule.ect_streams):
         raise ValueError(f"ECT stream {ect.name!r} already scheduled")
     possibilities = expand_ect(ect, schedule.topology)
+    # a possibility named like a scheduled stream would append to that
+    # stream's slot list, which the input schedule shares
+    taken = {s.name for s in schedule.streams}
+    clash = next((p.name for p in possibilities if p.name in taken), None)
+    if clash is not None:
+        raise ValueError(f"stream {clash!r} already scheduled")
     affected = affected_sharing_streams(schedule, ect)
     # only the affected streams' and the possibilities' plan rows are
     # used, and those depend on nothing but the probabilistic streams
@@ -237,8 +229,9 @@ def add_ect_stream(
     for stream in affected:
         for link in stream.path:
             result.slots.pop((stream.name, link.key), None)
-    occupancy = _occupancy_of(
-        result, index=_without(schedule.link_index(), affected)
+    occupancy = _Occupancy(
+        {s.name: s for s in result.streams},
+        _without(schedule.link_index(), affected),
     )
 
     try:
@@ -254,7 +247,7 @@ def add_ect_stream(
     except _PlacementFailure as exc:
         raise InfeasibleError(f"cannot admit {ect.name}: {exc}") from exc
 
-    result._link_index = occupancy.by_link  # noqa: SLF001 - same package
+    result.carry_link_index(occupancy.by_link)
     result.meta["incremental_additions"] = (
         schedule.meta.get("incremental_additions", 0) + 1
     )
@@ -288,10 +281,9 @@ def remove_stream(
     for stream in victims:
         for link in stream.path:
             result.slots.pop((stream.name, link.key), None)
-    index = schedule._link_index  # noqa: SLF001 - same package
-    if index is not None:
+    if schedule.has_link_index:
         # derive from the victims' paths; an unbuilt index stays lazy
-        result._link_index = _without(index, victims)  # noqa: SLF001
+        result.carry_link_index(_without(schedule.link_index(), victims))
     if validate_result:
         validate(result)
     return result

@@ -51,10 +51,10 @@ def expand_ect(ect: EctStream, topology: Topology) -> List[Stream]:
         )
     path = ect.route(topology)
     possibilities = []
-    for i in range(n):
+    for i, name in enumerate(possibility_names(ect)):
         possibilities.append(
             Stream(
-                name=f"{ect.name}#ps{i + 1}",
+                name=name,
                 path=path,
                 e2e_ns=budget_ns,
                 priority=Priorities.EP,
@@ -67,6 +67,11 @@ def expand_ect(ect: EctStream, topology: Topology) -> List[Stream]:
             )
         )
     return possibilities
+
+
+def possibility_names(ect: EctStream) -> List[str]:
+    """The stream names :func:`expand_ect` gives ``ect``'s possibilities."""
+    return [f"{ect.name}#ps{i + 1}" for i in range(ect.possibilities)]
 
 
 def quantization_delay_ns(ect: EctStream) -> int:

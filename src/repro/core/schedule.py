@@ -98,6 +98,23 @@ class NetworkSchedule:
             self._link_index = index
         return self._link_index
 
+    @property
+    def has_link_index(self) -> bool:
+        """Whether :meth:`link_index` was built or carried already."""
+        return self._link_index is not None
+
+    def carry_link_index(
+        self, index: Dict[Tuple[str, str], List[FrameSlot]]
+    ) -> None:
+        """Adopt ``index``, derived from the schedule this one came from.
+
+        The incremental primitives call this with their input's index
+        with only the changed links rebuilt.  It must equal what
+        :meth:`link_index` would build from ``slots``; validation never
+        reads it, so a wrong index cannot pass a bad schedule.
+        """
+        self._link_index = index
+
     def link_slots(self, link_key: Tuple[str, str]) -> List[FrameSlot]:
         """All slots on one directed link, sorted by offset."""
         return sorted(

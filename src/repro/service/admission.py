@@ -42,6 +42,7 @@ from repro.cnc.qcc import Deployment, deployment_from_schedule
 from repro.core.baselines import schedule_etsn
 from repro.core.heuristic import schedule_heuristic
 from repro.core.incremental import add_ect_stream, add_tct_stream, remove_stream
+from repro.core.probabilistic import possibility_names
 from repro.core.schedule import (
     CertifiedInfeasibleError,
     InfeasibleError,
@@ -551,6 +552,20 @@ class AdmissionService:
         if isinstance(request, (AdmitTct, AdmitEct)):
             if name in taken or name in pending:
                 return f"stream name {name!r} already in use"
+            # an ECT's possibilities are streams too: their names must
+            # not clash with a scheduled or pending stream either way
+            taken |= pending
+            taken.update(
+                p for r in batch_so_far if isinstance(r, AdmitEct)
+                for p in possibility_names(r.ect)
+            )
+            claimed = (
+                possibility_names(request.ect)
+                if isinstance(request, AdmitEct) else [name]
+            )
+            clash = next((p for p in claimed if p in taken), None)
+            if clash is not None:
+                return f"stream name {clash!r} already in use"
             try:
                 if isinstance(request, AdmitTct):
                     request.requirement.resolve(schedule.topology)

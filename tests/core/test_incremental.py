@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.baselines import schedule_etsn
 from repro.core.incremental import add_ect_stream, add_tct_stream, remove_stream
-from repro.core.schedule import InfeasibleError, validate
+from repro.core.schedule import InfeasibleError, NetworkSchedule, validate
 from repro.model.stream import EctStream, Priorities, Stream, TctRequirement
 from repro.model.units import milliseconds
 from tests.conftest import MTU_WIRE_NS
@@ -120,6 +120,23 @@ class TestAddEct:
         mid = add_ect_stream(before, ect)
         with pytest.raises(ValueError):
             add_ect_stream(mid, ect)
+
+    def test_possibility_name_clash_rejected(self, star_topology):
+        # the TCT holds the name the ECT's first possibility would get;
+        # admitting the ECT must refuse, not append to the shared list
+        before = add_tct_stream(
+            NetworkSchedule(topology=star_topology, streams=[], slots={}),
+            _tct(star_topology, "e#ps1", src="D2"),
+        )
+        frozen = {k: list(v) for k, v in before.slots.items()}
+        index = {k: list(v) for k, v in before.link_index().items()}
+        ect = EctStream("e", "D2", "D3",
+                        min_interevent_ns=milliseconds(16),
+                        length_bytes=1500, possibilities=4)
+        with pytest.raises(ValueError, match="e#ps1"):
+            add_ect_stream(before, ect)
+        assert {k: list(v) for k, v in before.slots.items()} == frozen
+        assert before.link_index() == index
 
     def test_second_ect_stream(self, two_switch_topology):
         before = schedule_etsn(

@@ -156,6 +156,26 @@ class TestScreening:
         assert service.metrics.counter(
             f"rungs.{RUNG_INCREMENTAL}.attempts").value == attempts_before
 
+    @pytest.mark.parametrize("same_batch", [False, True])
+    @pytest.mark.parametrize("ect_first", [False, True])
+    def test_possibility_name_clash_rejected(
+        self, service, same_batch, ect_first
+    ):
+        # "e#ps1" is both a TCT name and the ECT "e"'s first possibility
+        first, second = _tct("e#ps1", src="D2"), _ect("e")
+        if ect_first:
+            first, second = second, first
+        if same_batch:
+            decisions = service.submit_many([first, second])
+        else:
+            decisions = [service.submit(first), service.submit(second)]
+        assert decisions[0].accepted
+        assert not decisions[1].accepted
+        assert decisions[1].reason == "stream name 'e#ps1' already in use"
+        names = [s.name for s in service.store.schedule.streams]
+        assert len(names) == len(set(names))
+        validate(service.store.schedule)
+
     def test_unroutable_request_rejected(self, service):
         decision = service.submit(_tct("ghost-route", src="D1", dst="nowhere"))
         assert not decision.accepted
